@@ -69,9 +69,7 @@ def cmd_compile(ns) -> int:
     if ns.dump_gnf:
         Path(ns.dump_gnf).write_text(render_gnf(gnf))
     adj = None if ns.no_adjacency else build_stack_adjacency(gnf)
-    sweep = compute_all_displacements(
-        vocab.tokens, gnf, adj, budget=ns.budget, threads=ns.threads
-    )
+    sweep = compute_all_displacements(vocab.tokens, gnf, adj, budget=ns.budget)
     tbl = build_class_table(vocab, sweep.displacements, grammar_digest=gdig, vocab_digest=vdig)
     cache_path = Path(ns.cache) if ns.cache else _default_cache_path(gdig, vdig)
     cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -362,8 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=50, help="max tokens per run")
         p.add_argument("--runs", type=int, default=4, help="runs per seed")
         p.add_argument("--seeds", type=int, default=1, help="number of seeds")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--budget", type=int, default=10_000_000, help="search node cap per token")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=10_000_000,
+            help="cap on search states expanded along one token's bytes",
+        )
         p.add_argument("--format", choices=["text", "json-lines"], default="text")
         p.add_argument(
             "--no-adjacency",
@@ -400,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    if ns.threads < 1:
-        print("cfgzip: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         return ns.func(ns)
     except (GrammarError, StaleCacheError) as exc:

@@ -1,4 +1,4 @@
-"""Per-token stack displacement computation.
+"""Stack displacements, found by a forward walk over a byte trie of tokens.
 
 A token's displacement is the set of (input stack, output stack) pairs
 the PDA can realise while consuming exactly that token: the input stack
@@ -7,22 +7,28 @@ the stack (via backtracks), the output stack is whatever is left when the
 last byte is consumed.  Tokens with equal displacement sets are
 interchangeable under the grammar, which is what the class table exploits.
 
-The search mirrors the nondeterministic PDA byte by byte.  When the
-working stack empties mid-token it "backtracks": it picks a production
-producing the current byte, enqueues its head as an extra input symbol,
-and continues with its tail.  Backtracks are pruned through the
-stack-adjacency relation keyed on the most recent pop (or the previously
-enqueued symbol when backtracks chain); the very first step has no
-predecessor and is never pruned.  Search states are memoized on
-(position, output stack, previous symbol); the input queue is
-reconstructed from the returned path suffixes, so memoization cannot
-change the result set.
+The walk mirrors the nondeterministic PDA byte by byte, forward.  Its
+state set after a prefix maps (output stack, previous symbol) to the set
+of input queues that reach it.  A byte pops the top of the output stack
+and pushes a tail; when the output stack is empty the walk "backtracks":
+it picks a production producing the byte, appends its head to every
+input queue and continues with its tail.  Backtracks are pruned through
+the stack-adjacency relation keyed on the previous symbol (the most
+recent pop, or the previously enqueued head when backtracks chain); the
+first byte has no predecessor and is never pruned.
+
+A state set depends only on the bytes consumed so far, so the sweep walks
+the distinct tokens in sorted byte order and keeps one state set per
+depth: each token starts from the deepest state set it shares with the
+token before it.  The node budget counts the states expanded along a
+token's bytes, its shared prefix included, so a token's outcome does not
+depend on the tokens swept with it.  Once a prefix is over budget, every
+token extending it is a fallback and is not walked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .adjacency import StackAdjacency
 from .gnf import GnfGrammar
@@ -33,12 +39,12 @@ EMPTY_PAIRS: frozenset = frozenset()
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The displacement search for one token exceeded its node budget."""
+    """The walk over one token expanded more states than its node budget."""
 
     def __init__(self, token: bytes, budget: int):
         self.token = token
         self.budget = budget
-        super().__init__(f"displacement search for token {token!r} exceeded {budget} nodes")
+        super().__init__(f"displacement walk for token {token!r} exceeded {budget} states")
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,62 @@ class Displacement:
 EPSILON_DISPLACEMENT = Displacement(frozenset({((), ())}))
 
 
-def _productions_by_byte(g: GnfGrammar) -> dict[int, tuple[tuple[str, tuple[str, ...]], ...]]:
-    out: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-    for head, term, tail in g.productions:
-        out.setdefault(term, []).append((head, tail))
-    return {k: tuple(v) for k, v in out.items()}
+# The state set before any byte: empty output stack, no previous symbol,
+# one empty input queue; and the number of states expanded to reach it.
+_START = ({((), None): frozenset({()})}, 0)
+
+
+def _step(states: dict, byte: int, g: GnfGrammar, adj: StackAdjacency | None) -> dict:
+    """Advance a state set by one byte."""
+    found: dict[tuple, list] = {}
+    for (out, prev), queues in states.items():
+        if out:
+            top, rest = out[0], out[1:]
+            for tail in g.delta(byte, top):
+                found.setdefault((tail + rest, top), []).append(queues)
+        else:
+            allowed = None if adj is None or prev is None else adj.after(prev)
+            for head, tail in g.by_byte.get(byte, ()):
+                if allowed is not None and head not in allowed:
+                    continue
+                moved = frozenset(q + (head,) for q in queues)
+                found.setdefault((tail, head), []).append(moved)
+    return {k: v[0] if len(v) == 1 else frozenset().union(*v) for k, v in found.items()}
+
+
+def _extend(
+    levels: list, token: bytes, g: GnfGrammar, adj: StackAdjacency | None, budget: int
+) -> bool:
+    """Walk ``token`` on from the deepest state set in ``levels``.
+
+    ``levels[d]`` holds the state set after ``token[:d]`` and the states
+    expanded to reach it; one level is appended per byte.  Returns False,
+    leaving the levels reached so far, once more than ``budget`` states
+    would be expanded.
+    """
+    for byte in token[len(levels) - 1 :]:
+        states, expanded = levels[-1]
+        expanded += len(states)
+        if expanded > budget:
+            return False
+        levels.append((_step(states, byte, g, adj), expanded))
+    return True
+
+
+def _displacement(states: dict) -> Displacement:
+    return Displacement(
+        frozenset((q, out) for (out, _), queues in states.items() for q in queues)
+    )
+
+
+def _trivial(token: bytes, g: GnfGrammar) -> Displacement | None:
+    """The displacement of a token that needs no walk, else None."""
+    if not token:
+        # The empty token moves no stack: a dedicated always-congruent value.
+        return EPSILON_DISPLACEMENT
+    if not g.alphabet.issuperset(token):
+        return Displacement(EMPTY_PAIRS)
+    return None
 
 
 def compute_displacement(
@@ -78,54 +135,19 @@ def compute_displacement(
     adj: StackAdjacency | None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Displacement:
-    """Run the displacement search for one token.
+    """Walk one token.
 
     Passing ``adj=None`` disables backtrack pruning (the raw search),
     which explores every hypothetical input stack.  Raises
-    SearchBudgetExceeded when the node budget runs out.
+    SearchBudgetExceeded when more than ``budget`` states are expanded.
     """
-    if not token:
-        # The empty token moves no stack: a dedicated always-congruent value.
-        return EPSILON_DISPLACEMENT
-    if any(b not in g.alphabet for b in token):
-        return Displacement(EMPTY_PAIRS)
-
-    by_byte = _productions_by_byte(g)
-    n = len(token)
-    nodes = 0
-    memo: dict[tuple, frozenset] = {}
-
-    def search(pos: int, out: tuple[str, ...], prev: str | None) -> frozenset:
-        # Returns pairs (input symbols appended from here on, final stack).
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(token, budget)
-        key = (pos, out, prev)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if pos == n:
-            res = frozenset({((), out)})
-        elif not out:
-            acc = set()
-            for head, tail in by_byte.get(token[pos], ()):
-                if adj is not None and prev is not None and (prev, head) not in adj:
-                    continue
-                for appended, final in search(pos + 1, tail, head):
-                    acc.add(((head,) + appended, final))
-            res = frozenset(acc)
-        else:
-            acc = set()
-            top = out[0]
-            rest = out[1:]
-            for tail in g.delta(token[pos], top):
-                acc |= search(pos + 1, tail + rest, top)
-            res = frozenset(acc)
-        memo[key] = res
-        return res
-
-    return Displacement(search(0, (), None))
+    d = _trivial(token, g)
+    if d is not None:
+        return d
+    levels = [_START]
+    if not _extend(levels, token, g, adj, budget):
+        raise SearchBudgetExceeded(token, budget)
+    return _displacement(levels[-1][0])
 
 
 def compute_displacement_annotated(
@@ -140,6 +162,8 @@ def compute_displacement_annotated(
     subset of pairs reachable through a path whose every backtrack passes
     the adjacency check.  ``filtered`` must equal the pruned search's
     result; the comparison is a regression check on the in-search pruning.
+    This is a backward, memoized search sharing no code with the forward
+    walk, so the check stays independent of it.
     """
     if not token:
         return EPSILON_DISPLACEMENT, EPSILON_DISPLACEMENT
@@ -147,7 +171,6 @@ def compute_displacement_annotated(
         empty = Displacement(EMPTY_PAIRS)
         return empty, empty
 
-    by_byte = _productions_by_byte(g)
     n = len(token)
     nodes = 0
     memo: dict[tuple, frozenset] = {}
@@ -166,7 +189,7 @@ def compute_displacement_annotated(
             res = frozenset({((), out, True)})
         elif not out:
             acc = set()
-            for head, tail in by_byte.get(token[pos], ()):
+            for head, tail in g.by_byte.get(token[pos], ()):
                 ok_here = prev is None or (prev, head) in adj
                 for appended, final, ok in search(pos + 1, tail, head):
                     acc.add(((head,) + appended, final, ok and ok_here))
@@ -210,7 +233,6 @@ def trace_displacement(
     """
     if not token:
         return [((), (), ())]
-    by_byte = _productions_by_byte(g)
     n = len(token)
     results = []
     nodes = 0
@@ -225,7 +247,7 @@ def trace_displacement(
             return
         byte = token[pos]
         if not out:
-            for head, tail in by_byte.get(byte, ()):
+            for head, tail in g.by_byte.get(byte, ()):
                 step = TraceStep(byte, head, tail, True, inq + (head,), tail)
                 walk(pos + 1, inq + (head,), tail, steps + [step])
         else:
@@ -256,38 +278,39 @@ def compute_all_displacements(
     g: GnfGrammar,
     adj: StackAdjacency | None,
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> SweepResult:
     """Displacement sweep over a vocabulary.
 
-    Byte-identical tokens are computed once.  Tokens that blow the budget
-    get ``None`` entries (the class table gives them safe singleton
-    classes); the sweep itself never aborts.  Results are written into a
-    pre-sized list so thread scheduling cannot affect the output.
+    Byte-identical tokens are computed once, and the distinct tokens are
+    walked in sorted byte order, each from the deepest state set it shares
+    with the token walked before it.  Every token's displacement equals
+    ``compute_displacement``'s, budget included: tokens that blow the
+    budget get ``None`` entries (the class table gives them safe singleton
+    classes), and the sweep itself never aborts.
     """
     tokens = list(vocab_tokens)
-    distinct: dict[bytes, object] = {}
-    order = []
-    for t in tokens:
-        if t not in distinct:
-            distinct[t] = None
-            order.append(t)
-
-    def work(t: bytes):
-        try:
-            d = compute_displacement(t, g, adj, budget)
-        except SearchBudgetExceeded:
-            return None
-        assert d.max_input_len() <= len(t), "input stack outgrew the token"
-        return d
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, d in zip(order, pool.map(work, order)):
-                distinct[t] = d
-    else:
-        for t in order:
-            distinct[t] = work(t)
+    distinct: dict[bytes, Displacement | None] = dict.fromkeys(tokens)
+    levels = [_START]
+    path = b""  # the bytes walked to reach levels[-1]
+    over: bytes | None = None  # the last prefix found over budget
+    for t in sorted(distinct):
+        d = _trivial(t, g)
+        if d is None:
+            if over is not None and t.startswith(over):
+                continue
+            shared = 0
+            for a, b in zip(path, t):
+                if a != b:
+                    break
+                shared += 1
+            del levels[shared + 1 :]
+            if _extend(levels, t, g, adj, budget):
+                d = _displacement(levels[-1][0])
+                assert d.max_input_len() <= len(t), "input stack outgrew the token"
+            else:
+                over = t[: len(levels)]
+            path = t[: len(levels) - 1]
+        distinct[t] = d
 
     displacements = [distinct[t] for t in tokens]
     exceeded = [i for i, d in enumerate(displacements) if d is None]

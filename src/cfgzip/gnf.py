@@ -34,9 +34,11 @@ class GnfGrammar:
 
     ``productions`` hold ``(head, terminal_byte, tail)`` triples;
     ``start_derives_epsilon`` stands in for the lone permitted epsilon
-    production.  ``delta_map`` is derived once at construction and maps
-    ``(byte, nonterminal)`` to the tuple of tails pushed when that
-    nonterminal is popped on that byte.
+    production.  Two indexes are derived once at construction:
+    ``delta_map`` maps ``(byte, nonterminal)`` to the tuple of tails pushed
+    when that nonterminal is popped on that byte, and ``by_byte`` maps a
+    byte to the ``(head, tail)`` pairs of the productions leading with it,
+    in production order.
     """
 
     nonterminals: tuple[str, ...]
@@ -45,6 +47,7 @@ class GnfGrammar:
     start: str
     start_derives_epsilon: bool = False
     delta_map: dict = field(default_factory=dict, compare=False, repr=False)
+    by_byte: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.start not in self.nonterminals:
@@ -59,6 +62,11 @@ class GnfGrammar:
                     raise GrammarError(f"unknown tail symbol {nt!r}")
         if not self.delta_map:
             self.delta_map.update(transition_function(self))
+        if not self.by_byte:
+            by_byte: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
+            for head, term, tail in self.productions:
+                by_byte.setdefault(term, []).append((head, tail))
+            self.by_byte.update((k, tuple(v)) for k, v in by_byte.items())
 
     def delta(self, byte: int, nt: str) -> tuple[tuple[str, ...], ...]:
         """Tails pushed when ``nt`` is popped on ``byte`` (empty if none)."""

@@ -70,6 +70,19 @@ def test_compile_missing_file_exits_2(tmp_path, capsys):
     assert run_cli(*compile_args(tmp_path / "nope.cfg", tmp_path / "nope.vocab", "x.czc")) == 2
 
 
+def test_compile_oversized_gnf_exits_2(tmp_path, capsys):
+    # 21 nullable symbols in one body: epsilon elimination refuses to explode.
+    grammar = tmp_path / "big.cfg"
+    grammar.write_text("root ::= " + " ".join(["opt"] * 21) + '\nopt ::= "x" | ""\n')
+    vocab = tmp_path / "v.vocab"
+    vocab.write_text("78\n")
+    cache = tmp_path / "big.czc"
+    assert run_cli(*compile_args(grammar, vocab, cache)) == 2
+    assert capsys.readouterr().err.startswith("cfgzip: ")
+    assert not cache.exists()
+    assert not list(tmp_path.glob("*.czc"))
+
+
 def test_compile_dump_gnf(dyck1_files, tmp_path):
     grammar, vocab, cache = dyck1_files
     dump = tmp_path / "dyck1.gnf"

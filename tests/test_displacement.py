@@ -1,6 +1,10 @@
 """Displacement search: goldens, pruning losslessness, budgets."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgzip import (
     Displacement,
@@ -173,18 +177,96 @@ def test_sweep_aggregates_budget_failures():
     assert sweep.displacements[0] is not None  # the sweep never aborts
 
 
-def test_sweep_threaded_matches_serial():
-    gnf = to_gnf(suite_grammar("arith"))
-    adj = build_stack_adjacency(gnf)
-    vocab = suite_vocabulary("arith")
-    serial = compute_all_displacements(vocab.tokens, gnf, adj, threads=1)
-    threaded = compute_all_displacements(vocab.tokens, gnf, adj, threads=4)
-    assert serial.displacements == threaded.displacements
+def per_token(tokens, gnf, adj, budget=10_000_000):
+    """What compute_displacement returns for each token, None where it raises."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(compute_displacement(t, gnf, adj, budget))
+        except SearchBudgetExceeded:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("pruned", [True, False], ids=["adj", "raw"])
+def test_sweep_matches_per_token(grammar_name, pruned):
+    gnf = to_gnf(suite_grammar(grammar_name))
+    adj = build_stack_adjacency(gnf) if pruned else None
+    vocab = suite_vocabulary(grammar_name)
+    sweep = compute_all_displacements(vocab.tokens, gnf, adj)
+    assert sweep.displacements == per_token(vocab.tokens, gnf, adj)
+    assert sweep.budget_exceeded == []
+
+
+def test_sweep_budget_fallbacks_match_per_token():
+    # Budget 50 is over the walk of about a quarter of mini_c's tokens.
+    gnf = to_gnf(suite_grammar("mini_c"))
+    tokens = suite_vocabulary("mini_c").tokens
+    sweep = compute_all_displacements(tokens, gnf, None, budget=50)
+    expected = per_token(tokens, gnf, None, budget=50)
+    assert sweep.budget_exceeded == [i for i, d in enumerate(expected) if d is None]
+    assert 0 < len(sweep.budget_exceeded) < len(tokens) // 2
+    assert sweep.displacements == expected
+
+
+def test_sweep_after_fallback_restarts_from_shared_prefix():
+    # "x=01;x=1;" runs out of budget at "x=01;x="; the tokens sorted after
+    # it share parts of its prefix and must not see state sets left over
+    # from its walk.
+    gnf = to_gnf(suite_grammar("mini_c"))
+    tokens = [b"x=01;x=1;", b"x=01;x=1;y", b"x=01;x", b"x=01;y", b"x=1;x=0;", b"x=1", b"y=1"]
+    sweep = compute_all_displacements(tokens, gnf, None, budget=450)
+    assert sweep.budget_exceeded == [0, 1]
+    assert sweep.displacements[2:] == per_token(tokens[2:], gnf, None, budget=450)
+
+
+def test_sweep_prefix_over_budget_fails_every_extension():
+    gnf = to_gnf(suite_grammar("mini_c"))
+    alphabet = sorted(gnf.alphabet)
+    n = len(alphabet)
+    tokens = [b"x=01;x=1;" + bytes([alphabet[i % n]]) * (1 + i // n) for i in range(200)]
+    assert len(set(tokens)) == 200
+    sweep = compute_all_displacements(tokens, gnf, None, budget=200)
+    assert sweep.budget_exceeded == list(range(200))
+
+
+@lru_cache(maxsize=None)
+def compiled(name):
+    gnf = to_gnf(suite_grammar(name))
+    return gnf, build_stack_adjacency(gnf)
+
+
+@st.composite
+def vocabularies(draw):
+    """A grammar and tokens with shared prefixes, foreign bytes, the empty
+    token and duplicates."""
+    name = draw(st.sampled_from(["dyck2", "arith", "json_mini"]))
+    gnf, _ = compiled(name)
+    foreign = min(set(range(1, 256)) - gnf.alphabet)
+    word = st.lists(st.sampled_from(sorted(gnf.alphabet) + [foreign]), max_size=4).map(bytes)
+    stems = draw(st.lists(word, min_size=1, max_size=4))
+    tokens = draw(st.lists(st.tuples(st.sampled_from(stems), word).map(b"".join), max_size=12))
+    tokens += draw(st.lists(st.sampled_from(tokens + [b""]), max_size=3))
+    return name, draw(st.permutations(tokens))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vocabularies(), st.booleans())
+def test_sweep_per_token_and_trace_agree(drawn, pruned):
+    name, tokens = drawn
+    gnf, adj = compiled(name)
+    adj = adj if pruned else None
+    sweep = compute_all_displacements(tokens, gnf, adj)
+    assert sweep.displacements == per_token(tokens, gnf, adj)
+    for t in tokens:
+        if len(t) <= 5:
+            traced = frozenset((inq, out) for inq, out, _ in trace_displacement(t, gnf))
+            assert compute_displacement(t, gnf, None).pairs == traced, t
 
 
 def test_memoized_matches_naive_recursion():
-    # The memoized search must return exactly the set the plain recursion
-    # finds (trace_displacement shares no memo).
+    # The state-set walk must return exactly the set the plain recursion
+    # over search paths finds.
     gnf = to_gnf(suite_grammar("dyck2"))
     vocab = suite_vocabulary("dyck2", long_tokens=5)
     for token in list(dict.fromkeys(vocab.tokens))[:40]:
