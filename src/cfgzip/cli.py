@@ -1,9 +1,18 @@
 """Command-line pipeline: compile, verify, bench, inspect.
 
-Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input error.  ``--format json-lines`` switches every subcommand to one
-JSON object per output record; text is the default.  The default cache
-location honours the CFGZIP_CACHE_DIR environment variable.
+Every subcommand reads ``--grammar``, ``--vocab``, ``--cache`` and
+``--format``; beyond those, each takes only the flags it reads:
+
+- compile: ``--budget`` for the sweep, ``--dump-gnf``;
+- verify: ``--seed/--steps/--runs`` for the fuzz, ``--congruence-pairs/-bound``;
+- bench: ``--seed/--steps/--runs`` for the fuzz;
+- inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``.
+
+Exit codes are a stable contract: 0 success, 1 verification failure
+(a corrupt or stale cache included), 2 input error.  ``--format
+json-lines`` switches every subcommand to one JSON object per output
+record; text is the default.  The default cache location honours the
+CFGZIP_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -22,16 +31,15 @@ import numpy as np
 from .adjacency import build_stack_adjacency
 from .classtable import (
     CacheError,
-    StaleCacheError,
     build_class_table,
     load_cache,
     load_vocabulary,
     save_cache,
 )
-from .displacement import compute_all_displacements, compute_displacement
+from .displacement import compute_all_displacements
 from .fuzz import FuzzConfig, fuzz_decode
 from .gnf import render_gnf, to_gnf
-from .grammar import GrammarError, GrammarSource, parse_grammar, validate
+from .grammar import GrammarSource, parse_grammar, validate
 from .grammar import _escape_bytes
 from .oracle import oracle_congruence_sample
 
@@ -48,11 +56,15 @@ def _emit(records, fmt: str):
             print(rec.pop("_text", None) or " ".join(f"{k}={v}" for k, v in rec.items()))
 
 
-def _load_inputs(ns):
+def _load_grammar(ns):
     grammar_bytes = Path(ns.grammar).read_bytes()
     g = validate(parse_grammar(GrammarSource(grammar_bytes.decode("utf-8"), ns.grammar)))
+    return g, hashlib.sha256(grammar_bytes).digest()
+
+
+def _load_inputs(ns):
+    g, gdig = _load_grammar(ns)
     vocab = load_vocabulary(ns.vocab)
-    gdig = hashlib.sha256(grammar_bytes).digest()
     vdig = hashlib.sha256(Path(ns.vocab).read_bytes()).digest()
     return g, vocab, gdig, vdig
 
@@ -68,7 +80,7 @@ def cmd_compile(ns) -> int:
     gnf = to_gnf(g)
     if ns.dump_gnf:
         Path(ns.dump_gnf).write_text(render_gnf(gnf))
-    adj = None if ns.no_adjacency else build_stack_adjacency(gnf)
+    adj = build_stack_adjacency(gnf)
     sweep = compute_all_displacements(vocab.tokens, gnf, adj, budget=ns.budget)
     tbl = build_class_table(vocab, sweep.displacements, grammar_digest=gdig, vocab_digest=vdig)
     cache_path = Path(ns.cache) if ns.cache else _default_cache_path(gdig, vdig)
@@ -99,16 +111,16 @@ def cmd_compile(ns) -> int:
 
 def _load_cache_for(ns, gdig, vdig):
     cache_path = Path(ns.cache) if ns.cache else _default_cache_path(gdig, vdig)
-    return load_cache(cache_path, grammar_digest=gdig, vocab_digest=vdig), cache_path
+    return load_cache(cache_path, grammar_digest=gdig, vocab_digest=vdig)
+
+
+def _fuzz(ns, g, vocab, tbl):
+    return fuzz_decode(g, vocab, tbl, FuzzConfig(seed=ns.seed, steps=ns.steps, runs=ns.runs))
 
 
 def cmd_verify(ns) -> int:
     g, vocab, gdig, vdig = _load_inputs(ns)
-    try:
-        tbl, cache_path = _load_cache_for(ns, gdig, vdig)
-    except CacheError as exc:
-        print(f"verify: cache failed to load: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    tbl = _load_cache_for(ns, gdig, vdig)
 
     # Structural invariants first: partition, self-map, minimality.
     problems = []
@@ -126,18 +138,9 @@ def cmd_verify(ns) -> int:
             problems.append(f"class {k}: representative is not byte-shortest")
 
     # Losslessness sweep: expanded compressed masks must equal naive masks.
-    mismatches = 0
-    first = None
-    total_steps = 0
-    for s in range(ns.seeds):
-        report = fuzz_decode(
-            g, vocab, tbl, FuzzConfig(seed=ns.seed + s, steps=ns.steps, runs=ns.runs)
-        )
-        total_steps += report.total_steps
-        mismatches += report.total_mismatches
-        for run in report.runs:
-            if run.first_mismatch and first is None:
-                first = run.first_mismatch
+    report = _fuzz(ns, g, vocab, tbl)
+    mismatches = report.total_mismatches
+    first = next((run.first_mismatch for run in report.runs if run.first_mismatch), None)
 
     # Refinement spot check: same-class pairs must never be refuted.
     refuted = 0
@@ -165,7 +168,7 @@ def cmd_verify(ns) -> int:
     _emit(
         [
             {
-                "fuzz_steps": total_steps,
+                "fuzz_steps": report.total_steps,
                 "mask_mismatches": mismatches,
                 "structure_problems": len(problems),
                 "congruence_pairs": checked_pairs,
@@ -173,7 +176,7 @@ def cmd_verify(ns) -> int:
                 "first_failure": first,
                 "ok": ok,
                 "_text": (
-                    f"steps={total_steps} mismatches={mismatches} "
+                    f"steps={report.total_steps} mismatches={mismatches} "
                     f"structure_problems={len(problems)} "
                     f"congruence_pairs={checked_pairs} refuted={refuted} "
                     f"{'OK' if ok else 'FAIL ' + str(first or problems[:1])}"
@@ -198,41 +201,30 @@ def _quantiles(values):
 
 def cmd_bench(ns) -> int:
     g, vocab, gdig, vdig = _load_inputs(ns)
-    try:
-        tbl, _ = _load_cache_for(ns, gdig, vdig)
-    except CacheError as exc:
-        print(f"bench: cache failed to load: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    tbl = _load_cache_for(ns, gdig, vdig)
+    report = _fuzz(ns, g, vocab, tbl)
+    all_naive, all_comp = report.mask_times_ns(exclude_stuck=True)
+    stuck = sum(1 for r in report.runs if r.outcome == "stuck")
     records = []
-    all_naive, all_comp = [], []
-    stuck = 0
-    for s in range(ns.seeds):
-        report = fuzz_decode(
-            g, vocab, tbl, FuzzConfig(seed=ns.seed + s, steps=ns.steps, runs=ns.runs)
+    for run in report.runs:
+        run_naive = [st.naive_ns for st in run.steps]
+        run_comp = [st.compressed_ns for st in run.steps if st.compressed_ns is not None]
+        records.append(
+            {
+                "record": "run",
+                "seed": run.seed,
+                "run": run.run_index,
+                "outcome": run.outcome,
+                "steps": len(run.steps),
+                "naive_total_ms": round(sum(run_naive) / 1e6, 3),
+                "compressed_total_ms": round(sum(run_comp) / 1e6, 3),
+                "_text": (
+                    f"run seed={run.seed}/{run.run_index} {run.outcome} "
+                    f"steps={len(run.steps)} naive={sum(run_naive)/1e6:.2f}ms "
+                    f"compressed={sum(run_comp)/1e6:.2f}ms"
+                ),
+            }
         )
-        naive, comp = report.mask_times_ns(exclude_stuck=True)
-        all_naive += naive
-        all_comp += comp
-        stuck += sum(1 for r in report.runs if r.outcome == "stuck")
-        for run in report.runs:
-            run_naive = [st.naive_ns for st in run.steps]
-            run_comp = [st.compressed_ns for st in run.steps if st.compressed_ns is not None]
-            records.append(
-                {
-                    "record": "run",
-                    "seed": run.seed,
-                    "run": run.run_index,
-                    "outcome": run.outcome,
-                    "steps": len(run.steps),
-                    "naive_total_ms": round(sum(run_naive) / 1e6, 3),
-                    "compressed_total_ms": round(sum(run_comp) / 1e6, 3),
-                    "_text": (
-                        f"run seed={run.seed}/{run.run_index} {run.outcome} "
-                        f"steps={len(run.steps)} naive={sum(run_naive)/1e6:.2f}ms "
-                        f"compressed={sum(run_comp)/1e6:.2f}ms"
-                    ),
-                }
-            )
     nstats = _quantiles(all_naive)
     cstats = _quantiles(all_comp)
     speedup = (
@@ -260,16 +252,9 @@ def cmd_bench(ns) -> int:
 
 
 def cmd_inspect(ns) -> int:
-    g, vocab, gdig, vdig = _load_inputs(ns)
-    try:
-        tbl, _ = _load_cache_for(ns, gdig, vdig)
-    except CacheError as exc:
-        print(f"inspect: cache failed to load: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-
     if ns.dump_adjacency:
-        gnf = to_gnf(g)
-        adj = build_stack_adjacency(gnf)
+        g, _ = _load_grammar(ns)
+        adj = build_stack_adjacency(to_gnf(g))
         _emit(
             [
                 {"before": y, "after": z, "_text": f"{y} {z}"}
@@ -279,6 +264,8 @@ def cmd_inspect(ns) -> int:
         )
         return EXIT_OK
 
+    g, vocab, gdig, vdig = _load_inputs(ns)
+    tbl = _load_cache_for(ns, gdig, vdig)
     if ns.token_id is not None:
         tid = ns.token_id
         if not 0 <= tid < tbl.token_count:
@@ -303,22 +290,25 @@ def cmd_inspect(ns) -> int:
         )
         return EXIT_OK
 
-    # Tag never-valid classes by recomputing the representative displacements.
+    # Tag never-valid and over-budget classes by re-sweeping the representatives.
     gnf = to_gnf(g)
-    adj = None if ns.no_adjacency else build_stack_adjacency(gnf)
+    reps = [vocab.tokens[int(rep_id)] for rep_id in tbl.r]
+    disps = compute_all_displacements(
+        reps, gnf, build_stack_adjacency(gnf), budget=ns.budget
+    ).displacements
     members = tbl.class_members()
     records = []
     order = sorted(range(tbl.class_count), key=lambda k: (-len(members[k]), k))
     for k in order:
         rep_id = int(tbl.r[k])
-        rep_bytes = vocab.tokens[rep_id]
+        rep_bytes = reps[k]
         tags = []
         if k in tbl.passthrough:
             tags.append("pass-through")
-        else:
-            disp = compute_displacement(rep_bytes, gnf, adj, budget=ns.budget)
-            if not disp.pairs:
-                tags.append("never valid")
+        elif disps[k] is None:
+            tags.append("budget fallback")
+        elif not disps[k].pairs:
+            tags.append("never valid")
         sample = [f'"{_escape_bytes(vocab.tokens[m])}"' for m in members[k][:5]]
         records.append(
             {
@@ -352,44 +342,46 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cfgzip", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, cache_required=False):
+    def inputs(p):
         p.add_argument("--grammar", required=True, help="grammar file")
         p.add_argument("--vocab", required=True, help="vocabulary file (hex lines)")
         p.add_argument("--cache", help="cache file (default: CFGZIP_CACHE_DIR)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=int, default=50, help="max tokens per run")
-        p.add_argument("--runs", type=int, default=4, help="runs per seed")
-        p.add_argument("--seeds", type=int, default=1, help="number of seeds")
+        p.add_argument("--format", choices=["text", "json-lines"], default="text")
+
+    def budget(p):
         p.add_argument(
             "--budget",
             type=int,
             default=10_000_000,
             help="cap on search states expanded along one token's bytes",
         )
-        p.add_argument("--format", choices=["text", "json-lines"], default="text")
-        p.add_argument(
-            "--no-adjacency",
-            action="store_true",
-            help="disable backtrack pruning (A/B testing)",
-        )
+
+    def fuzz(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--steps", type=int, default=50, help="max tokens per run")
+        p.add_argument("--runs", type=int, default=4, help="seeded decoding runs")
 
     p = sub.add_parser("compile", help="precompute and cache the class table")
-    common(p)
+    inputs(p)
+    budget(p)
     p.add_argument("--dump-gnf", help="also write the GNF grammar to this path")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="check losslessness and class structure")
-    common(p)
+    inputs(p)
+    fuzz(p)
     p.add_argument("--congruence-pairs", type=int, default=50)
     p.add_argument("--congruence-bound", type=int, default=4)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="measure naive vs compressed mask latency")
-    common(p)
+    inputs(p)
+    fuzz(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="list classes or query a token")
-    common(p)
+    inputs(p)
+    budget(p)
     p.add_argument("--token-id", type=int, help="query one token id")
     p.add_argument(
         "--dump-adjacency",
@@ -404,9 +396,9 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (GrammarError, StaleCacheError) as exc:
-        print(f"cfgzip: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except CacheError as exc:
+        print(f"{ns.command}: cache failed to load: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (OSError, ValueError) as exc:
         print(f"cfgzip: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -267,10 +267,6 @@ class SweepResult:
 
     displacements: list
     budget_exceeded: list
-    node_budget: int
-
-    def fallback_ids(self) -> frozenset[int]:
-        return frozenset(self.budget_exceeded)
 
 
 def compute_all_displacements(
@@ -314,4 +310,4 @@ def compute_all_displacements(
 
     displacements = [distinct[t] for t in tokens]
     exceeded = [i for i, d in enumerate(displacements) if d is None]
-    return SweepResult(displacements=displacements, budget_exceeded=exceeded, node_budget=budget)
+    return SweepResult(displacements=displacements, budget_exceeded=exceeded)

@@ -46,8 +46,8 @@ class GnfGrammar:
     productions: tuple[tuple[str, int, tuple[str, ...]], ...]
     start: str
     start_derives_epsilon: bool = False
-    delta_map: dict = field(default_factory=dict, compare=False, repr=False)
-    by_byte: dict = field(default_factory=dict, compare=False, repr=False)
+    delta_map: dict = field(init=False, compare=False, repr=False)
+    by_byte: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.start not in self.nonterminals:
@@ -60,13 +60,11 @@ class GnfGrammar:
             for nt in tail:
                 if nt not in self.nonterminals:
                     raise GrammarError(f"unknown tail symbol {nt!r}")
-        if not self.delta_map:
-            self.delta_map.update(transition_function(self))
-        if not self.by_byte:
-            by_byte: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-            for head, term, tail in self.productions:
-                by_byte.setdefault(term, []).append((head, tail))
-            self.by_byte.update((k, tuple(v)) for k, v in by_byte.items())
+        by_byte: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
+        for head, term, tail in self.productions:
+            by_byte.setdefault(term, []).append((head, tail))
+        object.__setattr__(self, "by_byte", {k: tuple(v) for k, v in by_byte.items()})
+        object.__setattr__(self, "delta_map", transition_function(self))
 
     def delta(self, byte: int, nt: str) -> tuple[tuple[str, ...], ...]:
         """Tails pushed when ``nt`` is popped on ``byte`` (empty if none)."""

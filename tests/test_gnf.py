@@ -97,6 +97,21 @@ def test_transition_function_figure_grammar():
     assert toy.delta(ord("a"), "B") == ()
 
 
+def test_indexes_are_derived_not_passed():
+    # The indexes always follow the productions: a caller cannot supply them.
+    toy = figure_grammar()
+    assert toy.delta_map == transition_function(toy)
+    assert toy.by_byte[ord("y")] == (("Y", ("Z", "J", "K")),)
+    with pytest.raises(TypeError):
+        type(toy)(
+            nonterminals=toy.nonterminals,
+            alphabet=toy.alphabet,
+            productions=toy.productions,
+            start=toy.start,
+            by_byte={},
+        )
+
+
 def test_tail_lengths_bounded_by_max():
     gnf = to_gnf(suite_grammar("dyck1"))
     cap = gnf.max_tail_len()
