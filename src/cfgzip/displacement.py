@@ -28,6 +28,7 @@ token extending it is a fallback and is not walked again.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .adjacency import StackAdjacency
@@ -283,8 +284,24 @@ def compute_all_displacements(
     ``compute_displacement``'s, budget included: tokens that blow the
     budget get ``None`` entries (the class table gives them safe singleton
     classes), and the sweep itself never aborts.
+
+    The cyclic garbage collector is paused during the sweep and left as
+    the caller had it.  The sweep builds no reference cycles, but it
+    allocates millions of tuples and sets, and collections triggered by
+    those allocations would traverse them over and over.
     """
-    tokens = list(vocab_tokens)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _sweep(list(vocab_tokens), g, adj, budget)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _sweep(
+    tokens: list[bytes], g: GnfGrammar, adj: StackAdjacency | None, budget: int
+) -> SweepResult:
     distinct: dict[bytes, Displacement | None] = dict.fromkeys(tokens)
     levels = [_START]
     path = b""  # the bytes walked to reach levels[-1]

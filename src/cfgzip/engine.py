@@ -6,10 +6,20 @@ advances are cheap to roll back (just drop the returned state).  The
 recognizer runs on the original grammar, not the GNF one; the GNF side
 of the pipeline exists purely to compute equivalence classes.
 
-The naive mask checks every vocabulary token with a trial advance; the
-compressed mask does the same work per class representative only, which
-is the entire speedup.  End-of-sequence is modelled as a special token
-whose bit equals state completeness; other specials are always blocked.
+A frontier keeps two kinds of items.  Those carried in from earlier
+positions (by scanning or completion) are closed per frontier.  Those it
+predicts depend only on the set of nonterminals predicted, so they come
+from a position-free prediction table shared by every frontier with that
+set (Aycock & Horspool 2002, "Practical Earley Parsing"), and take the
+frontier's position as their origin when read.
+
+The naive mask checks every vocabulary token with a trial advance.  The
+compressed mask tries the class representatives only, which is the
+entire speedup: it walks a byte trie of the representatives depth-first
+over one chart, so representatives sharing a prefix share its frontiers
+and each accepted prefix is closed once.  End-of-sequence is modelled as
+a special token whose bit equals state completeness; other specials are
+always blocked.
 """
 
 from __future__ import annotations
@@ -27,8 +37,14 @@ class MaskedTokenError(ValueError):
     """A token was committed that the current mask does not allow."""
 
 
-class _Frontier:
-    """One Earley item set, pre-indexed for scanning and completion."""
+class _Prediction:
+    """The items predicted for one set of nonterminals, as (pid, dot) pairs
+    whose origin is the position of the frontier that reads them.
+
+    ``scan_map`` and ``wait_map`` hold the pairs already advanced over the
+    byte or nonterminal they are keyed by; ``complete`` says whether an
+    item of the start symbol is complete at zero width.
+    """
 
     __slots__ = ("items", "scan_map", "wait_map", "complete")
 
@@ -37,6 +53,32 @@ class _Frontier:
         self.scan_map = scan_map
         self.wait_map = wait_map
         self.complete = complete
+
+
+class _Frontier:
+    """One Earley item set at byte position ``pos``: the items carried in
+    from earlier positions, pre-indexed for scanning and completion (already
+    advanced, like the prediction table's), plus the shared table of the
+    items predicted here."""
+
+    __slots__ = ("pos", "items", "scan_map", "wait_map", "pred", "complete")
+
+    def __init__(self, pos, items, scan_map, wait_map, pred, complete):
+        self.pos = pos
+        self.items = items
+        self.scan_map = scan_map
+        self.wait_map = wait_map
+        self.pred = pred
+        self.complete = complete
+
+    def scan(self, b: int) -> list:
+        """The items advanced over byte ``b``: the next frontier's seeds."""
+        own = self.scan_map.get(b, ())
+        shared = self.pred.scan_map.get(b)
+        if shared is None:
+            return own
+        pos = self.pos
+        return [*own, *[(pid, dot, pos) for pid, dot in shared]]
 
 
 class _EngineGrammar:
@@ -53,17 +95,81 @@ class _EngineGrammar:
             by_head.setdefault(head, []).append(pid)
         self.by_head = {k: tuple(v) for k, v in by_head.items()}
         self.nullable = nullable_set(g)
+        # The nonterminals predicted along with each nonterminal: those at
+        # the dot of its predicted items, through leading nullable symbols.
+        leading: dict[str, set[str]] = {nt: set() for nt in self.by_head}
+        for head, body in zip(self.heads, self.bodies):
+            for sym in body:
+                if isinstance(sym, int):
+                    break
+                leading[head].add(sym)
+                if sym not in self.nullable:
+                    break
+        self.predicts: dict[str, frozenset[str]] = {}
+        for nt in leading:
+            seen = {nt}
+            todo = [nt]
+            while todo:
+                for m in leading[todo.pop()]:
+                    if m not in seen:
+                        seen.add(m)
+                        todo.append(m)
+            self.predicts[nt] = frozenset(seen)
+        self._by_predicted: dict[frozenset, _Prediction] = {}
+        self._by_closure: dict[frozenset, _Prediction] = {}
+        self._trie_key = None
+        self._trie = None
+
+    def prediction(self, predicted: frozenset) -> _Prediction:
+        """The shared table for a frontier whose carried items predict the
+        nonterminals ``predicted``."""
+        got = self._by_predicted.get(predicted)
+        if got is None:
+            closure = frozenset().union(*(self.predicts[nt] for nt in predicted))
+            got = self._by_closure.get(closure)
+            if got is None:
+                got = self._by_closure[closure] = self._build_prediction(closure)
+            self._by_predicted[predicted] = got
+        return got
+
+    def _build_prediction(self, closure: frozenset) -> _Prediction:
+        items = []
+        scan: dict[int, list] = {}
+        wait: dict[str, list] = {}
+        complete = False
+        for nt in closure:
+            for pid in self.by_head[nt]:
+                body = self.bodies[pid]
+                for dot, sym in enumerate(body):
+                    items.append((pid, dot))
+                    if isinstance(sym, int):
+                        scan.setdefault(sym, []).append((pid, dot + 1))
+                        break
+                    wait.setdefault(sym, []).append((pid, dot + 1))
+                    if sym not in self.nullable:
+                        break
+                else:
+                    items.append((pid, len(body)))
+                    complete = complete or nt == self.start
+        return _Prediction(
+            tuple(items),
+            {b: tuple(v) for b, v in scan.items()},
+            {nt: tuple(v) for nt, v in wait.items()},
+            complete,
+        )
 
     def close(self, chart, seeds, pos: int) -> _Frontier:
-        # Predictor/completer closure; scanning happens between frontiers.
-        # Completions that span zero bytes are skipped: the predictor
-        # advances over nullable symbols directly, which covers them.
+        # Completer closure over the carried items only: every seed and
+        # every completion has its origin below ``pos``.  The predictor is
+        # the shared table; zero-width completions need no walk, because
+        # the predictor advances over nullable symbols directly.
         items: set[tuple[int, int, int]] = set()
         work = list(seeds)
         scan: dict[int, list] = {}
         wait: dict[str, list] = {}
+        predicted: set[str] = set()
         complete = False
-        heads, bodies, by_head, nullable = self.heads, self.bodies, self.by_head, self.nullable
+        heads, bodies, nullable, start = self.heads, self.bodies, self.nullable, self.start
         while work:
             item = work.pop()
             if item in items:
@@ -72,27 +178,43 @@ class _EngineGrammar:
             pid, dot, org = item
             body = bodies[pid]
             if dot == len(body):
-                if org == 0 and heads[pid] == self.start:
+                head = heads[pid]
+                if org == 0 and head == start:
                     complete = True
-                if org != pos:
-                    for ppid, pdot, porg in chart[org].wait_map.get(heads[pid], ()):
-                        work.append((ppid, pdot + 1, porg))
+                parent = chart[org]
+                work.extend(parent.wait_map.get(head, ()))
+                shared = parent.pred.wait_map.get(head)
+                if shared:
+                    work.extend([(ppid, pdot, org) for ppid, pdot in shared])
             else:
                 sym = body[dot]
+                nxt = (pid, dot + 1, org)
                 if isinstance(sym, int):
-                    scan.setdefault(sym, []).append((pid, dot + 1, org))
+                    scan.setdefault(sym, []).append(nxt)
                 else:
-                    wait.setdefault(sym, []).append(item)
-                    for q in by_head.get(sym, ()):
-                        work.append((q, 0, pos))
+                    wait.setdefault(sym, []).append(nxt)
+                    predicted.add(sym)
                     if sym in nullable:
-                        work.append((pid, dot + 1, org))
-        return _Frontier(
-            frozenset(items),
-            {b: tuple(v) for b, v in scan.items()},
-            {nt: tuple(v) for nt, v in wait.items()},
-            complete,
-        )
+                        work.append(nxt)
+        return _Frontier(pos, items, scan, wait, self.prediction(frozenset(predicted)), complete)
+
+    def rep_trie(self, tbl: ClassTable, vocab: Vocabulary):
+        """The byte trie of the non-pass-through class representatives, as
+        nested ``(classes ending here, {byte: child})`` nodes.  The last
+        one built is kept, keyed by the representatives' bytes."""
+        reps = tuple([vocab.tokens[r] for r in tbl.r.tolist()])
+        key = (reps, tbl.passthrough)
+        if key != self._trie_key:
+            root: tuple[list, dict] = ([], {})
+            for k, rep in enumerate(reps):
+                if k in tbl.passthrough:
+                    continue
+                node = root
+                for b in rep:
+                    node = node[1].setdefault(b, ([], {}))
+                node[0].append(k)
+            self._trie_key, self._trie = key, root
+        return self._trie
 
 
 _engines: dict[Cfg, _EngineGrammar] = {}
@@ -119,9 +241,12 @@ class EngineState:
     complete: bool
 
     def digest(self) -> str:
+        last = self.chart[-1]
+        items = set(last.items)
+        items.update((pid, dot, last.pos) for pid, dot in last.pred.items)
         h = hashlib.sha1()
         h.update(str(self.consumed).encode())
-        for item in sorted(self.chart[-1].items):
+        for item in sorted(items):
             h.update(repr(item).encode())
         return h.hexdigest()[:16]
 
@@ -129,8 +254,8 @@ class EngineState:
 def new_state(g: Cfg) -> EngineState:
     """Initial state for the empty prefix; errors on an empty language."""
     eg = _engine_for(g)  # validate() inside raises EmptyLanguageError
-    seeds = [(pid, 0, 0) for pid in eg.by_head[eg.start]]
-    frontier = eg.close((), seeds, 0)
+    pred = eg.prediction(frozenset((eg.start,)))
+    frontier = _Frontier(0, frozenset(), {}, {}, pred, pred.complete)
     return EngineState(eg, (frontier,), 0, frontier.complete)
 
 
@@ -144,7 +269,7 @@ def try_advance(s: EngineState, data: bytes) -> EngineState | None:
         return s
     chart = list(s.chart)
     for b in data:
-        seeds = chart[-1].scan_map.get(b)
+        seeds = chart[-1].scan(b)
         if not seeds:
             return None
         chart.append(s.eg.close(chart, seeds, len(chart)))
@@ -175,18 +300,39 @@ def compute_mask_naive(s: EngineState, vocab: Vocabulary) -> Mask:
 
 
 def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) -> Mask:
-    """One trial advance per class representative: cost scales with the
-    class count, not the vocabulary size."""
+    """The same trial advance as the naive mask, per class representative
+    instead of per token: cost scales with the class count, not the
+    vocabulary size.
+
+    The representatives are tried in one depth-first walk over their byte
+    trie, so each accepted prefix is scanned once, and closed once if a
+    longer representative extends it.  A representative is accepted iff
+    every byte of it scans, exactly as in ``try_advance``.
+    """
     bits = np.zeros(tbl.class_count, dtype=bool)
-    eos_class = int(tbl.c[vocab.eos_id]) if vocab.eos_id is not None else -1
-    reps = tbl.r
-    tokens = vocab.tokens
-    passthrough = tbl.passthrough
-    for k in range(tbl.class_count):
-        if k in passthrough:
-            bits[k] = s.complete and k == eos_class
-        else:
-            bits[k] = try_advance(s, tokens[int(reps[k])]) is not None
+    if vocab.eos_id is not None:
+        eos_class = int(tbl.c[vocab.eos_id])
+        if eos_class in tbl.passthrough:
+            bits[eos_class] = s.complete
+    ends, children = s.eg.rep_trie(tbl, vocab)
+    accepted = list(ends)  # empty representatives: ``try_advance(s, b"")`` is ``s``
+    close = s.eg.close
+    chart = list(s.chart)
+    # Depth-first: an entry's frontier sits at chart[pos], and everything
+    # popped after it was pushed lies at chart[pos:] and deeper, so
+    # chart[:pos] still holds the frontiers of its prefix when it is popped.
+    todo = [(len(chart) - 1, chart[-1], children)]
+    while todo:
+        pos, frontier, children = todo.pop()
+        del chart[pos:]
+        chart.append(frontier)
+        for b, (ends, sub) in children.items():
+            seeds = frontier.scan(b)
+            if seeds:
+                accepted.extend(ends)
+                if sub:
+                    todo.append((pos + 1, close(chart, seeds, pos + 1), sub))
+    bits[accepted] = True
     return Mask(bits, "classes")
 
 

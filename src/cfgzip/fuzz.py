@@ -2,10 +2,14 @@
 
 Each run decodes tokens until end-of-sequence is sampled, the step cap is
 hit, or no token is viable (a stuck state, reported rather than raised).
-When a class table is supplied the run computes both the naive and the
-compressed mask at every step, times them, and records whether the
-expanded compressed mask is bit-identical to the naive one; sampling
-always uses the naive mask so a mismatch cannot silently steer a run.
+When a class table is supplied the run keeps two states: the engine's,
+advanced by each sampled token's class representative, and a reference
+advanced by the sampled token's real bytes.  Every step computes the
+naive mask on the reference and the compressed mask on the engine's
+state, times both, and records whether the expanded compressed mask is
+bit-identical to the naive one; sampling always uses the naive mask so a
+mismatch cannot silently steer a run.  A run whose sampled token the
+compressed mask blocked ends "diverged": the engine cannot commit it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classtable import ClassTable, Vocabulary, expand_class_mask
-from .engine import commit_token, compute_mask_compressed, compute_mask_naive, new_state
+from .engine import (
+    commit_token,
+    compute_mask_compressed,
+    compute_mask_naive,
+    new_state,
+    try_advance,
+)
 from .grammar import Cfg
 
 
@@ -59,7 +69,7 @@ class StepRecord:
 class RunReport:
     seed: int
     run_index: int
-    outcome: str  # "completed" | "stuck" | "truncated"
+    outcome: str  # "completed" | "stuck" | "truncated" | "diverged"
     output: bytes
     steps: list[StepRecord]
     first_mismatch: dict | None = None
@@ -122,7 +132,9 @@ def fuzz_decode(
     """Run ``cfg.runs`` seeded decoding runs of up to ``cfg.steps`` tokens.
 
     Identical inputs give identical reports (wall times aside).  With a
-    class table, every step checks expanded-compressed == naive.
+    class table, every step checks expanded-compressed == naive, the
+    compressed mask on the state advanced by representatives and the
+    naive mask on the state advanced by the sampled bytes.
     ``stop_after_steps`` skips remaining runs once that many steps have
     accumulated (runs are seeded independently, so this stays deterministic).
     """
@@ -132,14 +144,14 @@ def fuzz_decode(
         if stop_after_steps is not None and report.total_steps >= stop_after_steps:
             break
         rng = random.Random(cfg.seed * 1_000_003 + ri)
-        state = root
+        state = real = root
         out = bytearray()
         steps: list[StepRecord] = []
         outcome = "truncated"
         first_mismatch = None
         for si in range(cfg.steps):
             t0 = time.perf_counter_ns()
-            naive = compute_mask_naive(state, vocab)
+            naive = compute_mask_naive(real, vocab)
             t1 = time.perf_counter_ns()
             compressed_ns = None
             masks_equal = None
@@ -181,7 +193,13 @@ def fuzz_decode(
             if sampled == vocab.eos_id:
                 outcome = "completed"
                 break
+            if masks_equal is False and not expanded[sampled]:
+                # A lossy table masked the sampled token: the engine's
+                # state cannot follow the real stream.
+                outcome = "diverged"
+                break
             state = commit_token(state, sampled, tbl, vocab)
+            real = state if tbl is None else try_advance(real, vocab.tokens[sampled])
             out += vocab.tokens[sampled]
         report.runs.append(
             RunReport(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -153,3 +155,24 @@ def hosted_figure_grammar():
         ),
         start="S",
     )
+
+
+@contextmanager
+def counting_closes():
+    """Count the frontiers the engine closes while the block runs, keyed
+    by (position, carried items)."""
+    from cfgzip.engine import _EngineGrammar
+
+    closed: Counter = Counter()
+    close = _EngineGrammar.close
+
+    def counted(self, chart, seeds, pos):
+        frontier = close(self, chart, seeds, pos)
+        closed[(frontier.pos, frozenset(frontier.items))] += 1
+        return frontier
+
+    _EngineGrammar.close = counted
+    try:
+        yield closed
+    finally:
+        _EngineGrammar.close = close

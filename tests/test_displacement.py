@@ -1,5 +1,6 @@
 """Displacement search: goldens, pruning losslessness, budgets."""
 
+import gc
 from functools import lru_cache
 
 import pytest
@@ -262,6 +263,21 @@ def test_sweep_per_token_and_trace_agree(drawn, pruned):
         if len(t) <= 5:
             traced = frozenset((inq, out) for inq, out, _ in trace_displacement(t, gnf))
             assert compute_displacement(t, gnf, None).pairs == traced, t
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_sweep_leaves_collector_as_found(enabled):
+    gnf, adj = compiled("dyck2")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        compute_all_displacements([b"(", b"([", b"]"], gnf, adj)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TypeError):
+            compute_all_displacements([b"(", "("], gnf, adj)  # unsortable tokens
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_memoized_matches_naive_recursion():

@@ -1,9 +1,15 @@
 """The incremental recognizer and its two mask paths."""
 
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgzip import (
+    ClassTable,
     EmptyLanguageError,
     FuzzConfig,
     MaskedTokenError,
@@ -24,7 +30,7 @@ from cfgzip import (
     validate,
 )
 
-from conftest import suite_grammar, suite_vocabulary
+from conftest import GRAMMARS, counting_closes, suite_grammar, suite_vocabulary
 
 
 def pipeline(name, vocab=None):
@@ -66,15 +72,31 @@ def test_try_advance_empty_bytes_is_noop():
     assert try_advance(s, b"") is s
 
 
-@pytest.mark.parametrize("name", ["dyck1", "dyck2", "arith"])
-def test_engine_agrees_with_prefix_oracle(name):
-    # Exhaustive over all strings up to 8 bytes, walked down the prefix
-    # tree: once both sides reject a prefix, every extension is rejected by
-    # both as well, so pruning loses nothing.
-    g = suite_grammar(name)
+# Nullable symbols at the start of bodies, nested: prediction runs through
+# them, and the start symbol is complete at zero width.
+NULLABLE_LEAD = """
+root ::= opt alt "a" root | items
+opt ::= "" | "b"
+alt ::= opt | "c" opt
+items ::= item items | ""
+item ::= opt opt "d"
+"""
+
+
+@pytest.mark.parametrize(
+    "text,depth",
+    [(GRAMMARS["dyck1"], 8), (GRAMMARS["dyck2"], 8), (GRAMMARS["arith"], 8), (NULLABLE_LEAD, 6)],
+    ids=["dyck1", "dyck2", "arith", "nullable_lead"],
+)
+def test_engine_agrees_with_prefix_oracle(text, depth):
+    # Exhaustive over all strings up to ``depth`` bytes, walked down the
+    # prefix tree: once both sides reject a prefix, every extension is
+    # rejected by both as well, so pruning loses nothing.
+    g = validate(parse_grammar(text))
     alphabet = sorted(g.alphabet)
     layer = [(b"", new_state(g))]
-    for _ in range(8):
+    assert layer[0][1].complete == oracle_membership(g, b"")
+    for _ in range(depth):
         nxt = []
         for w, state in layer:
             for b in alphabet:
@@ -131,6 +153,26 @@ def test_compressed_equals_naive_on_fuzz_walk():
     assert report.total_mismatches == 0
     for run in report.runs:
         assert all(s.masks_equal for s in run.steps)
+
+
+def test_fuzz_compares_against_the_real_bytes():
+    # A lossy table that puts "((" in the class of "(": masks taken on the
+    # state advanced by representatives agree with each other, but after
+    # "((" the real stream is one level deeper than the engine's state.
+    g = suite_grammar("dyck1")
+    vocab = Vocabulary(tokens=(b"(", b"((", b")", b"\x00"), specials=frozenset({3}), eos_id=3)
+    tbl = ClassTable(
+        c=np.array([0, 0, 1, 2], dtype=np.uint32),
+        r=np.array([0, 2, 3], dtype=np.uint32),
+        class_count=3,
+        grammar_digest=b"",
+        vocab_digest=b"",
+        passthrough=frozenset({2}),
+    )
+    report = fuzz_decode(g, vocab, tbl, FuzzConfig(seed=0, steps=12, runs=40))
+    assert report.total_mismatches > 0
+    outcomes = {run.outcome for run in report.runs}
+    assert "diverged" in outcomes and outcomes <= {"completed", "truncated", "diverged"}
 
 
 def test_dead_class_bit_always_zero():
@@ -215,3 +257,107 @@ def test_state_digest_deterministic():
     assert a.digest() == b.digest()
     c = try_advance(new_state(g), b"((")
     assert a.digest() != c.digest()
+
+
+def per_rep_mask(s, tbl, vocab):
+    """The reference for the trie walk: one trial advance per class
+    representative, pass-through classes decided by the EOS rule."""
+    bits = np.zeros(tbl.class_count, dtype=bool)
+    eos_class = int(tbl.c[vocab.eos_id]) if vocab.eos_id is not None else -1
+    for k in range(tbl.class_count):
+        if k in tbl.passthrough:
+            bits[k] = s.complete and k == eos_class
+        else:
+            bits[k] = try_advance(s, vocab.tokens[int(tbl.r[k])]) is not None
+    return bits
+
+
+def singleton_table(vocab):
+    """Every token is its own class and representative: the compressed
+    mask must equal the naive one bit for bit."""
+    ids = np.arange(len(vocab), dtype=np.uint32)
+    return ClassTable(
+        c=ids,
+        r=ids.copy(),
+        class_count=len(vocab),
+        grammar_digest=b"",
+        vocab_digest=b"",
+        passthrough=frozenset(vocab.specials),
+    )
+
+
+def test_trie_mask_empty_prefix_and_passthrough_representatives():
+    g = suite_grammar("dyck1")
+    tokens = (b"", b"(", b"((", b"()", b"())", b")", b")(", b"\x00", b"\x01")
+    vocab = Vocabulary(tokens=tokens, specials=frozenset({7, 8}), eos_id=7)
+    tbl = singleton_table(vocab)
+    s = new_state(g)
+    # "()" is accepted but its extension "())" is not; ")" fails before
+    # ")(" is tried; EOS follows completeness; the other special never passes.
+    want = [True, True, True, True, False, False, False, True, False]
+    assert compute_mask_compressed(s, tbl, vocab).bits.tolist() == want
+    opened = try_advance(s, b"(")
+    want = [True, True, True, True, True, True, True, False, False]
+    assert compute_mask_compressed(opened, tbl, vocab).bits.tolist() == want
+    for state in (s, opened):
+        assert np.array_equal(
+            compute_mask_compressed(state, tbl, vocab).bits, compute_mask_naive(state, vocab).bits
+        )
+
+
+def test_compressed_eos_class_tracks_completeness():
+    g, vocab, tbl = pipeline("dyck1")
+    eos_class = int(tbl.c[vocab.eos_id])
+    assert eos_class in tbl.passthrough
+    for prefix, complete in ((b"", True), (b"(", False), (b"()", True), (b"((", False)):
+        s = try_advance(new_state(g), prefix)
+        assert bool(compute_mask_compressed(s, tbl, vocab).bits[eos_class]) is complete
+
+
+@lru_cache(maxsize=None)
+def suite_pipeline(name):
+    return pipeline(name)
+
+
+@st.composite
+def reachable_states(draw):
+    """A suite grammar and a state reached by a random viable byte walk."""
+    name = draw(st.sampled_from(sorted(GRAMMARS)))
+    g = suite_pipeline(name)[0]
+    s = new_state(g)
+    for b in draw(st.lists(st.sampled_from(sorted(g.alphabet)), max_size=12)):
+        s = try_advance(s, bytes([b])) or s
+    return name, s
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(reachable_states())
+def test_trie_mask_equals_per_representative_trials(drawn):
+    name, s = drawn
+    _, vocab, tbl = suite_pipeline(name)
+    assert np.array_equal(compute_mask_compressed(s, tbl, vocab).bits, per_rep_mask(s, tbl, vocab))
+    single = singleton_table(vocab)
+    assert np.array_equal(
+        compute_mask_compressed(s, single, vocab).bits, compute_mask_naive(s, vocab).bits
+    )
+
+
+@pytest.mark.parametrize("prefix", [b"", b"[", b'{"ab', b'["a",', b'{"a":1'])
+def test_trie_walk_closes_each_accepted_inner_prefix_once(prefix):
+    # A frontier is closed once per accepted prefix that a longer
+    # representative extends, and for no other prefix: a representative's
+    # last byte only has to scan.
+    g, vocab, tbl = suite_pipeline("json_mini")
+    s = try_advance(new_state(g), prefix)
+    assert s is not None
+    reps = {vocab.tokens[int(r)] for k, r in enumerate(tbl.r) if k not in tbl.passthrough}
+    inner = {rep[:i] for rep in reps for i in range(1, len(rep))}
+    want = Counter()
+    for p in inner:
+        t = try_advance(s, p)
+        if t is not None:
+            want[(t.chart[-1].pos, frozenset(t.chart[-1].items))] += 1
+    assert want
+    with counting_closes() as closed:
+        compute_mask_compressed(s, tbl, vocab)
+    assert closed == want
