@@ -77,8 +77,10 @@ EPSILON_DISPLACEMENT = Displacement(frozenset({((), ())}))
 _START = ({((), None): frozenset({()})}, 0)
 
 
-def _step(states: dict, byte: int, g: GnfGrammar, adj: StackAdjacency | None) -> dict:
-    """Advance a state set by one byte."""
+def _step(
+    states: dict, byte: int, g: GnfGrammar, adj: StackAdjacency | None, depth: int
+) -> dict:
+    """Advance a state set by one byte, the ``depth``-th of the token."""
     found: dict[tuple, list] = {}
     for (out, prev), queues in states.items():
         if out:
@@ -87,6 +89,8 @@ def _step(states: dict, byte: int, g: GnfGrammar, adj: StackAdjacency | None) ->
                 found.setdefault((tail + rest, top), []).append(queues)
         else:
             allowed = None if adj is None or prev is None else adj.after(prev)
+            # A backtrack consumes a byte, so no input stack outgrows the token.
+            assert max(map(len, queues)) < depth, "input stack outgrew the token"
             for head, tail in g.by_byte.get(byte, ()):
                 if allowed is not None and head not in allowed:
                     continue
@@ -110,7 +114,7 @@ def _extend(
         expanded += len(states)
         if expanded > budget:
             return False
-        levels.append((_step(states, byte, g, adj), expanded))
+        levels.append((_step(states, byte, g, adj, len(levels)), expanded))
     return True
 
 
@@ -319,7 +323,6 @@ def _sweep(
             del levels[shared + 1 :]
             if _extend(levels, t, g, adj, budget):
                 d = _displacement(levels[-1][0])
-                assert d.max_input_len() <= len(t), "input stack outgrew the token"
             else:
                 over = t[: len(levels)]
             path = t[: len(levels) - 1]

@@ -13,6 +13,16 @@ from a position-free prediction table shared by every frontier with that
 set (Aycock & Horspool 2002, "Practical Earley Parsing"), and take the
 frontier's position as their origin when read.
 
+Right recursion would still make a frontier walk one completion per
+level: inside a string, ``chars ::= char chars`` completes once for every
+byte back to the opening quote.  Leo's right-recursion items (Leo 1991)
+cut that to one step.  When a right-recursive production completes and
+the only item waiting on its head is complete once advanced, the chain
+of such completions is followed once and its top is memoised on the
+frontier where it starts; a later frontier completes the top directly
+and skips the items in between.  ``EngineState.item_set()`` puts the
+skipped items back, so state digests cover the full Earley item set.
+
 The naive mask checks every vocabulary token with a trial advance.  The
 compressed mask tries the class representatives only, which is the
 entire speedup: it walks a byte trie of the representatives depth-first
@@ -59,9 +69,14 @@ class _Frontier:
     """One Earley item set at byte position ``pos``: the items carried in
     from earlier positions, pre-indexed for scanning and completion (already
     advanced, like the prediction table's), plus the shared table of the
-    items predicted here."""
+    items predicted here.
 
-    __slots__ = ("pos", "items", "scan_map", "wait_map", "pred", "complete")
+    ``leo`` memoises, per nonterminal completed with this frontier as its
+    origin, the Leo link of that completion (None if it starts no chain);
+    it is allocated on first use.
+    """
+
+    __slots__ = ("pos", "items", "scan_map", "wait_map", "pred", "complete", "leo")
 
     def __init__(self, pos, items, scan_map, wait_map, pred, complete):
         self.pos = pos
@@ -70,6 +85,7 @@ class _Frontier:
         self.wait_map = wait_map
         self.pred = pred
         self.complete = complete
+        self.leo = None
 
     def scan(self, b: int) -> list:
         """The items advanced over byte ``b``: the next frontier's seeds."""
@@ -79,6 +95,18 @@ class _Frontier:
             return own
         pos = self.pos
         return [*own, *[(pid, dot, pos) for pid, dot in shared]]
+
+
+def _reachable(edges: dict[str, set[str]], roots: set[str]) -> frozenset[str]:
+    """The nonterminals reachable from ``roots`` (included) along ``edges``."""
+    seen = set(roots)
+    todo = list(roots)
+    while todo:
+        for m in edges[todo.pop()]:
+            if m not in seen:
+                seen.add(m)
+                todo.append(m)
+    return frozenset(seen)
 
 
 class _EngineGrammar:
@@ -105,16 +133,20 @@ class _EngineGrammar:
                 leading[head].add(sym)
                 if sym not in self.nullable:
                     break
-        self.predicts: dict[str, frozenset[str]] = {}
-        for nt in leading:
-            seen = {nt}
-            todo = [nt]
-            while todo:
-                for m in leading[todo.pop()]:
-                    if m not in seen:
-                        seen.add(m)
-                        todo.append(m)
-            self.predicts[nt] = frozenset(seen)
+        self.predicts = {nt: _reachable(leading, {nt}) for nt in leading}
+        # Right-recursive productions end in a nonterminal that reaches
+        # their head again through the last symbols of bodies.  Only their
+        # completions start a Leo chain: elsewhere a chain cannot grow with
+        # the input, and looking one up costs more than it skips.
+        last: dict[str, set[str]] = {nt: set() for nt in self.by_head}
+        for head, body in zip(self.heads, self.bodies):
+            if body and isinstance(body[-1], str):
+                last[head].add(body[-1])
+        self.right_recursive = frozenset(
+            pid
+            for pid, (head, body) in enumerate(zip(self.heads, self.bodies))
+            if body and isinstance(body[-1], str) and head in _reachable(last, {body[-1]})
+        )
         self._by_predicted: dict[frozenset, _Prediction] = {}
         self._by_closure: dict[frozenset, _Prediction] = {}
         self._trie_key = None
@@ -170,6 +202,7 @@ class _EngineGrammar:
         predicted: set[str] = set()
         complete = False
         heads, bodies, nullable, start = self.heads, self.bodies, self.nullable, self.start
+        right_recursive = self.right_recursive
         while work:
             item = work.pop()
             if item in items:
@@ -181,6 +214,23 @@ class _EngineGrammar:
                 head = heads[pid]
                 if org == 0 and head == start:
                     complete = True
+                if pid in right_recursive:
+                    # Most lookups hit the memo: read it here, not in leo().
+                    memo = chart[org].leo
+                    link = _UNSET if memo is None else memo.get(head, _UNSET)
+                    if link is _UNSET:
+                        link = self.leo(chart, org, head)
+                    if link is not None:
+                        # Complete the chain's top instead, skipping the
+                        # items in between; item_set() puts them back.
+                        if link[3]:
+                            complete = True
+                        item = link[0]
+                        if item in items:
+                            continue
+                        items.add(item)
+                        pid, _, org = item
+                        head = heads[pid]
                 parent = chart[org]
                 work.extend(parent.wait_map.get(head, ()))
                 shared = parent.pred.wait_map.get(head)
@@ -197,6 +247,67 @@ class _EngineGrammar:
                     if sym in nullable:
                         work.append(nxt)
         return _Frontier(pos, items, scan, wait, self.prediction(frozenset(predicted)), complete)
+
+    def leo(self, chart, org: int, head: str):
+        """The Leo link for ``head`` completed with origin ``org``, or None.
+
+        The completion starts a chain when ``chart[org]`` holds exactly one
+        item waiting on ``head`` and that item is complete once advanced:
+        then that item is the only consequence of the completion, and it
+        completes its own head in turn (Leo 1991, "A general context-free
+        parsing algorithm running in linear time on every LR(k)
+        grammar").  A link is ``(top, item, rest, complete)``: the last
+        complete item of the chain, the one this completion advances, the
+        link of that item's completion (None at the top), and whether any
+        item of the chain is the start symbol at origin 0.  Links are
+        memoised on the frontier at their origin, which never changes, so
+        a chain grows by one step per frontier and each step is walked
+        once.
+        """
+        heads, bodies = self.heads, self.bodies
+        path = []
+        same_origin = None  # the heads met at origin ``org``, once it repeats
+        while True:
+            frontier = chart[org]
+            memo = frontier.leo
+            if memo is None:
+                memo = frontier.leo = {}
+            link = memo.get(head, _UNSET)
+            if link is not _UNSET:
+                break
+            own = frontier.wait_map.get(head, ())
+            shared = frontier.pred.wait_map.get(head, ())
+            if len(own) + len(shared) != 1:
+                link = memo[head] = None
+                break
+            item = own[0] if own else (*shared[0], org)
+            pid, dot, up = item
+            if dot != len(bodies[pid]):
+                link = memo[head] = None
+                break
+            path.append((memo, head, item))
+            up_head = heads[pid]
+            if up == org:
+                # A chain of completions at one origin can cycle through
+                # unit-like productions; stop it where it comes round.
+                if same_origin is None:
+                    same_origin = {head}
+                if up_head in same_origin:
+                    link = None
+                    break
+                same_origin.add(up_head)
+            else:
+                same_origin = None
+            head, org = up_head, up
+        start = self.start
+        for memo, head, item in reversed(path):
+            at_start = item[2] == 0 and heads[item[0]] == start
+            if link is None:
+                link = (item, item, None, at_start)
+            else:
+                link = (link[0], item, link, at_start or link[3])
+            memo[head] = link
+        return link
 
     def rep_trie(self, tbl: ClassTable, vocab: Vocabulary):
         """The byte trie of the non-pass-through class representatives, as
@@ -216,6 +327,8 @@ class _EngineGrammar:
             self._trie_key, self._trie = key, root
         return self._trie
 
+
+_UNSET = object()
 
 _engines: dict[Cfg, _EngineGrammar] = {}
 
@@ -240,13 +353,28 @@ class EngineState:
     consumed: int
     complete: bool
 
-    def digest(self) -> str:
-        last = self.chart[-1]
+    def item_set(self) -> set[tuple[int, int, int]]:
+        """The full Earley item set at the last position, as (production
+        index, dot, origin) triples: the carried items, the items that Leo
+        chains skipped, and the predicted items."""
+        chart = self.chart
+        last = chart[-1]
         items = set(last.items)
+        heads, bodies, right_recursive = self.eg.heads, self.eg.bodies, self.eg.right_recursive
+        for pid, dot, org in last.items:
+            if dot == len(bodies[pid]) and pid in right_recursive:
+                # A chain's top is completed without a lookup of its own.
+                link = (chart[org].leo or {}).get(heads[pid])
+                while link is not None:
+                    items.add(link[1])
+                    link = link[2]
         items.update((pid, dot, last.pos) for pid, dot in last.pred.items)
+        return items
+
+    def digest(self) -> str:
         h = hashlib.sha1()
         h.update(str(self.consumed).encode())
-        for item in sorted(items):
+        for item in sorted(self.item_set()):
             h.update(repr(item).encode())
         return h.hexdigest()[:16]
 

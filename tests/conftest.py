@@ -157,6 +157,50 @@ def hosted_figure_grammar():
     )
 
 
+def earley_item_sets(g: Cfg, data: bytes) -> list[frozenset] | None:
+    """Textbook Earley recognition of ``data``: the full item set at every
+    position, as (production index, dot, origin) triples, or None once a
+    byte scans nothing.
+
+    An independent reference for the engine: no prediction tables, no Leo
+    items, no nullable shortcut.  Predictor and completer run over the
+    whole set until it stops growing, so zero-width completions need no
+    special case.  Production indices are those of ``g``, which must be
+    validated.
+    """
+    prods = g.productions
+
+    def waits_on(pid, dot, sym):
+        body = prods[pid][1]
+        return dot < len(body) and body[dot] == sym
+
+    sets: list[frozenset] = []
+    current = {(pid, 0, 0) for pid, (head, _) in enumerate(prods) if head == g.start}
+    for i in range(len(data) + 1):
+        grew = True
+        while grew:
+            grew = False
+            for pid, dot, org in list(current):
+                head, body = prods[pid]
+                if dot < len(body):
+                    if isinstance(body[dot], int):
+                        continue
+                    new = [(p, 0, i) for p, (h, _) in enumerate(prods) if h == body[dot]]
+                else:
+                    waiting = current if org == i else sets[org]
+                    new = [(p, d + 1, o) for p, d, o in list(waiting) if waits_on(p, d, head)]
+                for item in new:
+                    if item not in current:
+                        current.add(item)
+                        grew = True
+        sets.append(frozenset(current))
+        if i == len(data):
+            return sets
+        current = {(p, d + 1, o) for p, d, o in current if waits_on(p, d, data[i])}
+        if not current:
+            return None
+
+
 @contextmanager
 def counting_closes():
     """Count the frontiers the engine closes while the block runs, keyed

@@ -1,5 +1,6 @@
 """The incremental recognizer and its two mask paths."""
 
+import hashlib
 from collections import Counter
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from cfgzip import (
     compute_all_displacements,
     compute_mask_compressed,
     compute_mask_naive,
+    expand_class_mask,
     fuzz_decode,
     new_state,
     oracle_membership,
@@ -30,7 +32,13 @@ from cfgzip import (
     validate,
 )
 
-from conftest import GRAMMARS, counting_closes, suite_grammar, suite_vocabulary
+from conftest import (
+    GRAMMARS,
+    counting_closes,
+    earley_item_sets,
+    suite_grammar,
+    suite_vocabulary,
+)
 
 
 def pipeline(name, vocab=None):
@@ -83,10 +91,43 @@ item ::= opt opt "d"
 """
 
 
+# Right recursion that Leo chains shortcut: a run of "a"s, then a nullable
+# right-recursive tail.
+RIGHT_REC = """
+root ::= "a" root | "b" tail
+tail ::= "" | "c" tail
+"""
+
+# A chain from "b" back down the run of "a"s continues through the start
+# symbol at origin 0 (root ::= run) and stops at wrap, whose only waiter is
+# not complete once advanced: the completed start item is skipped.
+LEO_START = """
+root ::= run | wrap "c"
+wrap ::= root
+run ::= "a" run | "b"
+"""
+
+# Completions at one origin that come round: root -> wrap -> root.
+UNIT_CYCLE = """
+root ::= "a" root | "b" | wrap
+wrap ::= root
+"""
+
+LEO_GRAMMARS = {"right_rec": RIGHT_REC, "leo_start": LEO_START, "unit_cycle": UNIT_CYCLE}
+
+
 @pytest.mark.parametrize(
     "text,depth",
-    [(GRAMMARS["dyck1"], 8), (GRAMMARS["dyck2"], 8), (GRAMMARS["arith"], 8), (NULLABLE_LEAD, 6)],
-    ids=["dyck1", "dyck2", "arith", "nullable_lead"],
+    [
+        (GRAMMARS["dyck1"], 8),
+        (GRAMMARS["dyck2"], 8),
+        (GRAMMARS["arith"], 8),
+        (NULLABLE_LEAD, 6),
+        (RIGHT_REC, 8),
+        (LEO_START, 8),
+        (UNIT_CYCLE, 8),
+    ],
+    ids=["dyck1", "dyck2", "arith", "nullable_lead", "right_rec", "leo_start", "unit_cycle"],
 )
 def test_engine_agrees_with_prefix_oracle(text, depth):
     # Exhaustive over all strings up to ``depth`` bytes, walked down the
@@ -108,6 +149,17 @@ def test_engine_agrees_with_prefix_oracle(text, depth):
                     assert got.complete == oracle_membership(g, cand), cand
                     nxt.append((cand, got))
         layer = nxt
+
+
+def test_leo_chain_through_start_at_origin_zero_sets_complete():
+    g = validate(parse_grammar(LEO_START))
+    s = try_advance(new_state(g), b"aab")
+    start_items = {
+        (pid, len(body), 0) for pid, (head, body) in enumerate(g.productions) if head == g.start
+    }
+    assert s.complete
+    assert not start_items & set(s.chart[-1].items), "the chain should skip the start item"
+    assert start_items & s.item_set()
 
 
 def test_naive_mask_dyck_small_vocab():
@@ -361,3 +413,133 @@ def test_trie_walk_closes_each_accepted_inner_prefix_once(prefix):
     with counting_closes() as closed:
         compute_mask_compressed(s, tbl, vocab)
     assert closed == want
+
+
+def reference_digest(consumed, items):
+    """``EngineState.digest()`` computed from a reference item set."""
+    h = hashlib.sha1()
+    h.update(str(consumed).encode())
+    for item in sorted(items):
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+def assert_matches_reference(g, data, s):
+    sets = earley_item_sets(g, data)
+    assert sets is not None
+    want = sets[-1]
+    assert s.item_set() == want
+    assert s.digest() == reference_digest(len(data), want)
+    ends = {(pid, len(body), 0) for pid, (head, body) in enumerate(g.productions) if head == g.start}
+    assert s.complete == bool(ends & want)
+
+
+@st.composite
+def byte_walks(draw):
+    """A grammar (suite or Leo) and a viable prefix reached by a random byte
+    walk that skips the bytes the engine rejects."""
+    texts = {**GRAMMARS, **LEO_GRAMMARS}
+    g = validate(parse_grammar(texts[draw(st.sampled_from(sorted(texts)))]))
+    data = b""
+    s = new_state(g)
+    for b in draw(st.lists(st.sampled_from(sorted(g.alphabet)), max_size=24)):
+        nxt = try_advance(s, bytes([b]))
+        if nxt is not None:
+            s, data = nxt, data + bytes([b])
+    return g, data, s
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(byte_walks())
+def test_item_set_and_digest_match_textbook_earley(walk):
+    assert_matches_reference(*walk)
+
+
+@pytest.mark.parametrize(
+    "name,data",
+    [
+        ("json_mini", b'["' + b"ab" * 20),
+        ("json_mini", b'{"' + b"ba" * 10 + b'":[1' + b"01" * 10),
+        ("right_rec", b"a" * 30 + b"b" + b"c" * 30),
+        ("leo_start", b"a" * 30 + b"bcc"),
+        ("unit_cycle", b"a" * 30 + b"b"),
+    ],
+    ids=["json_array_string", "json_key_and_number", "right_rec", "leo_start", "unit_cycle"],
+)
+def test_long_chains_match_textbook_earley(name, data):
+    g = validate(parse_grammar({**GRAMMARS, **LEO_GRAMMARS}[name]))
+    s = new_state(g)
+    for i in range(len(data)):
+        s = try_advance(s, data[i : i + 1])
+        assert s is not None
+    assert_matches_reference(g, data, s)
+
+
+def greedy_tokens(text, vocab):
+    """The longest-match tokenization of ``text`` over the non-special tokens."""
+    by_bytes = {t: i for i, t in enumerate(vocab.tokens) if t and i not in vocab.specials}
+    longest = max(map(len, by_bytes))
+    out, i = [], 0
+    while i < len(text):
+        for n in range(min(longest, len(text) - i), 0, -1):
+            tid = by_bytes.get(text[i : i + n])
+            if tid is not None:
+                out.append(tid)
+                i += n
+                break
+        else:
+            raise AssertionError(f"no token at byte {i}")
+    return out
+
+
+def test_long_string_value_masks_match_real_bytes():
+    # A 5,000-byte string value, decoded through the class table: the
+    # engine follows representatives, the reference the real bytes.
+    g, vocab, tbl = suite_pipeline("json_mini")
+    rng = np.random.default_rng(7)
+    text = b'"' + bytes(rng.choice(list(b"ab"), 5000).tolist()) + b'"'
+    s = real = new_state(g)
+    out, checked, next_check = 0, 0, 0
+    for tid in greedy_tokens(text, vocab):
+        comp = compute_mask_compressed(s, tbl, vocab)
+        expanded = expand_class_mask(comp.bits, tbl)
+        assert expanded[tid]
+        if out >= next_check:
+            assert np.array_equal(expanded, compute_mask_naive(real, vocab).bits), out
+            checked += 1
+            next_check += 997
+        s = commit_token(s, tid, tbl, vocab)
+        real = try_advance(real, vocab.tokens[tid])
+        out += len(vocab.tokens[tid])
+    assert checked >= 5 and real.complete and s.complete
+    assert compute_mask_compressed(s, tbl, vocab).bits[int(tbl.c[vocab.eos_id])]
+
+
+def test_mask_work_is_flat_inside_a_long_string():
+    # Timing-free: the frontier at byte 4,000 of a string holds as many
+    # items as the one at byte 40, and the compressed mask closes frontiers
+    # of the same sizes at both.
+    g, vocab, tbl = suite_pipeline("json_mini")
+    text = b'"' + b"ab" * 2000
+    s = try_advance(new_state(g), text)
+    assert len(s.chart[4001].items) == len(s.chart[41].items)
+
+    def closed_items(state):
+        with counting_closes() as closed:
+            compute_mask_compressed(state, tbl, vocab)
+        return sorted(len(items) for (_, items), n in closed.items() for _ in range(n))
+
+    at_40 = try_advance(new_state(g), text[:41])
+    at_4000 = try_advance(new_state(g), text[:4001])
+    assert closed_items(at_40) == closed_items(at_4000)
+
+
+def test_ten_thousand_byte_string_in_one_advance():
+    g = suite_grammar("json_mini")
+    s = try_advance(new_state(g), b'"' + b"ab" * 5000)
+    assert s is not None and not s.complete
+    done = try_advance(s, b'"')
+    assert done is not None and done.complete
+    # Every chain is expanded back for the digest, in a loop.
+    assert len(s.item_set()) > 10_000
+    assert done.digest() != s.digest()
