@@ -166,7 +166,9 @@ def build_class_table(
     ``disps[i]`` is token i's Displacement, or None when the search gave
     up on it (budget): such tokens get singleton classes keyed on their
     bytes, so duplicates still share and losslessness is preserved by the
-    engine checking them individually.  Class ids run in order of first
+    engine checking them individually.  Tokens are grouped on
+    ``Displacement.key``, which needs no decoding, so the displacements
+    must all come from one grammar.  Class ids run in order of first
     occurrence by token id; representatives are byte-shortest, ties to the
     lowest id.
     """
@@ -188,7 +190,7 @@ def build_class_table(
             c[tid] = cid
             continue
         d = disps[tid]
-        key = ("fallback", token) if d is None else d
+        key = ("fallback", token) if d is None else d.key
         cid = by_key.get(key)
         if cid is None:
             cid = len(rep)

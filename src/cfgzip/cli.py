@@ -3,7 +3,9 @@
 Every subcommand reads ``--grammar``, ``--vocab``, ``--cache`` and
 ``--format``; beyond those, each takes only the flags it reads:
 
-- compile: ``--budget`` for the sweep, ``--dump-gnf``;
+- compile: ``--budget`` for the sweep, ``--dump-gnf``; it reports the
+  seconds of each stage, the GNF's size and the distinct displacements'
+  pair count;
 - verify: ``--seed/--steps/--runs`` for the fuzz, ``--congruence-pairs/-bound``;
 - bench: ``--seed/--steps/--runs`` for the fuzz;
 - inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``.
@@ -77,16 +79,33 @@ def _default_cache_path(gdig: bytes, vdig: bytes) -> Path:
 def cmd_compile(ns) -> int:
     t_start = time.perf_counter()
     g, vocab, gdig, vdig = _load_inputs(ns)
-    gnf = to_gnf(g)
+    stages: dict[str, float] = {}
+
+    def timed(stage, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        stages[stage] = round(time.perf_counter() - t0, 6)
+        return out
+
+    gnf = timed("gnf_s", to_gnf, g)
     if ns.dump_gnf:
         Path(ns.dump_gnf).write_text(render_gnf(gnf))
-    adj = build_stack_adjacency(gnf)
-    sweep = compute_all_displacements(vocab.tokens, gnf, adj, budget=ns.budget)
-    tbl = build_class_table(vocab, sweep.displacements, grammar_digest=gdig, vocab_digest=vdig)
+    adj = timed("adjacency_s", build_stack_adjacency, gnf)
+    sweep = timed("sweep_s", compute_all_displacements, vocab.tokens, gnf, adj, budget=ns.budget)
+    tbl = timed(
+        "classing_s",
+        build_class_table,
+        vocab,
+        sweep.displacements,
+        grammar_digest=gdig,
+        vocab_digest=vdig,
+    )
     cache_path = Path(ns.cache) if ns.cache else _default_cache_path(gdig, vdig)
     cache_path.parent.mkdir(parents=True, exist_ok=True)
-    save_cache(tbl, cache_path)
-    wall = time.perf_counter() - t_start
+    timed("save_s", save_cache, tbl, cache_path)
+    wall = round(time.perf_counter() - t_start, 6)
+    # Equal displacements share a key, so each distinct one counts once.
+    pairs = sum(map(len, {d.key for d in sweep.displacements if d is not None}))
     _emit(
         [
             {
@@ -94,13 +113,18 @@ def cmd_compile(ns) -> int:
                 "classes": tbl.class_count,
                 "ratio": round(tbl.compression_ratio(), 3),
                 "budget_fallbacks": len(sweep.budget_exceeded),
-                "wall_s": round(wall, 3),
+                "gnf_productions": len(gnf.productions),
+                "pairs": pairs,
+                **stages,
+                "wall_s": wall,
                 "cache": str(cache_path),
                 "_text": (
                     f"|T|={tbl.token_count} |E|={tbl.class_count} "
                     f"ratio={tbl.compression_ratio():.2f}:1 "
                     f"fallbacks={len(sweep.budget_exceeded)} "
-                    f"wall={wall:.2f}s cache={cache_path}"
+                    f"gnf_productions={len(gnf.productions)} pairs={pairs} "
+                    + " ".join(f"{k}={v:.3f}" for k, v in stages.items())
+                    + f" wall={wall:.2f}s cache={cache_path}"
                 ),
             }
         ],

@@ -8,7 +8,7 @@ last byte is consumed.  Tokens with equal displacement sets are
 interchangeable under the grammar, which is what the class table exploits.
 
 The walk mirrors the nondeterministic PDA byte by byte, forward.  Its
-state set after a prefix maps (output stack, previous symbol) to the set
+state set after a prefix maps (previous symbol, output stack) to the set
 of input queues that reach it.  A byte pops the top of the output stack
 and pushes a tail; when the output stack is empty the walk "backtracks":
 it picks a production producing the byte, appends its head to every
@@ -16,6 +16,19 @@ input queue and continues with its tail.  Backtracks are pruned through
 the stack-adjacency relation keyed on the previous symbol (the most
 recent pop, or the previously enqueued head when backtracks chain); the
 first byte has no predecessor and is never pruned.
+
+Stacks and queues are coded: nonterminal ``i`` of the GNF is ``chr(i)``
+(``GnfGrammar.code``), a stack is a ``str`` with its top first, and a
+state's key is one string, the previous symbol followed by the output
+stack.  The last byte of a token builds no state set, because the
+previous symbol no longer matters: it yields the token's pairs directly,
+each coded as output stack, separator ``chr(len(nonterminals))``, input
+stack.  The frozenset of those strings is the token's canonical key;
+tokens with equal keys share one ``Displacement``, and the class table
+groups on the key.  Strings are not tracked by the cyclic collector, so
+what a sweep leaves alive is a few objects per distinct displacement, not
+one tuple per pair.  ``Displacement.pairs`` decodes on demand and reads
+as the set of name-tuple pairs.
 
 A state set depends only on the bytes consumed so far, so the sweep walks
 the distinct tokens in sorted byte order and keeps one state set per
@@ -29,14 +42,13 @@ token extending it is a fallback and is not walked again.
 from __future__ import annotations
 
 import gc
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .adjacency import StackAdjacency
 from .gnf import GnfGrammar
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-EMPTY_PAIRS: frozenset = frozenset()
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -48,80 +60,210 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"displacement walk for token {token!r} exceeded {budget} states")
 
 
-@dataclass(frozen=True)
+class CodedPairs(Set):
+    """A coded pair set read as its (input stack, output stack) name tuples.
+
+    It compares equal to the frozenset of those tuples and hashes like
+    it.  ``len`` and membership read the codes; iterating decodes one
+    pair at a time, and set operators return plain frozensets.
+    """
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: frozenset, names: tuple[str, ...]):
+        self.codes = codes
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        names = self.names
+        for code in self.codes:
+            out, _, q = code.partition(chr(len(names)))
+            yield tuple(names[ord(c)] for c in q), tuple(names[ord(c)] for c in out)
+
+    def __contains__(self, pair) -> bool:
+        code = {nt: chr(i) for i, nt in enumerate(self.names)}.__getitem__
+        try:
+            q, out = pair
+            coded = "".join(map(code, out)) + chr(len(self.names)) + "".join(map(code, q))
+        except (KeyError, TypeError, ValueError):
+            return False
+        return coded in self.codes
+
+    def __eq__(self, other):
+        if isinstance(other, CodedPairs) and other.names == self.names:
+            return self.codes == other.codes
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
 class Displacement:
     """Set of (input stack, output stack) pairs for one token.
 
-    Equality and hashing go through the frozenset, so class identity is
-    independent of discovery order; ``sorted_pairs`` gives the canonical
-    ordering used for dumps and serialisation.
+    ``Displacement(pairs)`` takes a frozenset of name-tuple pairs.  The
+    sweep builds coded ones instead, ``Displacement(codes, names)``, whose
+    ``codes`` are pair strings in the coding of a grammar with
+    nonterminals ``names`` (see ``GnfGrammar.code``) and whose ``pairs``
+    is a ``CodedPairs`` view.  Either way equality and hashing follow the
+    set of name-tuple pairs, so class identity is independent of discovery
+    order and of the representation; hashing a coded one decodes it once.
+    ``sorted_pairs`` gives the canonical ordering used for dumps and
+    serialisation.
+
+    ``key`` identifies a displacement among those of one grammar without
+    decoding: equal displacements from one sweep share one key (and one
+    object), and every empty displacement has the key ``frozenset()``.
     """
 
-    pairs: frozenset
+    __slots__ = ("key", "names", "_hash")
+
+    def __init__(self, pairs: frozenset, names: tuple[str, ...] | None = None):
+        self.key = frozenset(pairs)
+        self.names = names
+        self._hash = None
+
+    @property
+    def pairs(self):
+        return self.key if self.names is None else CodedPairs(self.key, self.names)
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
+        return bool(self.key)
+
+    def __eq__(self, other):
+        if not isinstance(other, Displacement):
+            return NotImplemented
+        if other.names == self.names:
+            return self.key == other.key
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.pairs))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Displacement(pairs={frozenset(self.pairs)!r})"
 
     def sorted_pairs(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
         return sorted(self.pairs)
 
     def max_input_len(self) -> int:
-        return max((len(a) for a, _ in self.pairs), default=0)
+        if self.names is None:
+            return max((len(a) for a, _ in self.key), default=0)
+        sep = chr(len(self.names))
+        return max((len(code) - code.index(sep) - 1 for code in self.key), default=0)
 
 
 EPSILON_DISPLACEMENT = Displacement(frozenset({((), ())}))
+DEAD_DISPLACEMENT = Displacement(frozenset())
 
 
-# The state set before any byte: empty output stack, no previous symbol,
-# one empty input queue; and the number of states expanded to reach it.
-_START = ({((), None): frozenset({()})}, 0)
+# The state set before any byte, keyed by its previous symbol and output
+# stack (see _step): no previous symbol (coded as the separator), an empty
+# output stack and one empty input queue; and the states expanded to reach it.
+def _start(g: GnfGrammar) -> tuple[dict, int]:
+    return {chr(len(g.nonterminals)): frozenset({""})}, 0
 
 
-def _step(
-    states: dict, byte: int, g: GnfGrammar, adj: StackAdjacency | None, depth: int
-) -> dict:
-    """Advance a state set by one byte, the ``depth``-th of the token."""
-    found: dict[tuple, list] = {}
-    for (out, prev), queues in states.items():
-        if out:
-            top, rest = out[0], out[1:]
-            for tail in g.delta(byte, top):
-                found.setdefault((tail + rest, top), []).append(queues)
-        else:
-            allowed = None if adj is None or prev is None else adj.after(prev)
-            # A backtrack consumes a byte, so no input stack outgrows the token.
-            assert max(map(len, queues)) < depth, "input stack outgrew the token"
-            for head, tail in g.by_byte.get(byte, ()):
-                if allowed is not None and head not in allowed:
-                    continue
-                moved = frozenset(q + (head,) for q in queues)
-                found.setdefault((tail, head), []).append(moved)
+def _coded_after(g: GnfGrammar, adj: StackAdjacency | None) -> dict[str, frozenset]:
+    """The adjacency in the grammar's coding: previous symbol -> the heads
+    a backtrack may enqueue after it.  A previous symbol without an entry
+    (the first byte's, or any when ``adj`` is None) prunes nothing."""
+    if adj is None:
+        return {}
+    code = g.code
+    return {
+        code[nt]: frozenset(code[z] for z in adj.after(nt) if z in code) for nt in g.nonterminals
+    }
+
+
+def _backtracks(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int):
+    """The backtracks on ``byte``, the ``depth``-th of the token, from the
+    states with an empty output stack (whose key is the previous symbol
+    alone), as (coded head, coded tail, input queues) triples."""
+    for key in [k for k in states if len(k) == 1]:
+        queues = states[key]
+        allowed = after.get(key)
+        # A backtrack consumes a byte, so no input stack outgrows the token.
+        assert max(map(len, queues)) < depth, "input stack outgrew the token"
+        for head, tail in g.coded_by_byte.get(byte, ()):
+            if allowed is None or head in allowed:
+                yield head, tail, queues
+
+
+def _step(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int) -> dict:
+    """Advance a state set by one byte, the ``depth``-th of the token.
+
+    A state is keyed by one string: the previous symbol, then the output
+    stack, top first.  Its value is the frozenset of input queues that
+    reach it.
+    """
+    delta = g.coded_delta.get(byte, {})
+    found: dict[str, list] = {}
+    for key, queues in states.items():
+        # A key without an output stack has key[1:2] == "" and pops nothing.
+        tails = delta.get(key[1:2])
+        if tails:
+            top = key[1]
+            rest = key[2:]
+            for tail in tails:
+                found.setdefault(top + tail + rest, []).append(queues)
+    for head, tail, queues in _backtracks(states, byte, g, after, depth):
+        found.setdefault(head + tail, []).append(frozenset([q + head for q in queues]))
     return {k: v[0] if len(v) == 1 else frozenset().union(*v) for k, v in found.items()}
 
 
-def _extend(
-    levels: list, token: bytes, g: GnfGrammar, adj: StackAdjacency | None, budget: int
-) -> bool:
-    """Walk ``token`` on from the deepest state set in ``levels``.
+def _last_step(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int) -> frozenset:
+    """The coded pairs after the token's last byte, the ``depth``-th: each
+    output stack, the separator, then an input queue that reaches it.  The
+    previous symbol no longer matters, so no state set is built."""
+    delta = g.coded_delta.get(byte, {})
+    sep = chr(len(g.nonterminals))
+    # Output stack first: the popped stack's rest, the separator and the
+    # queue are joined once per queue, and each tail adds one concatenation.
+    pairs = {
+        tail + suffix
+        for key, queues in states.items()
+        if (tails := delta.get(key[1:2]))
+        for q in queues
+        for suffix in [key[2:] + sep + q]
+        for tail in tails
+    }
+    for head, tail, queues in _backtracks(states, byte, g, after, depth):
+        pairs.update([tail + sep + q + head for q in queues])
+    return frozenset(pairs)
+
+
+def _walk(levels: list, token: bytes, g: GnfGrammar, after: dict, budget: int) -> frozenset | None:
+    """Walk ``token`` on from the deepest state set in ``levels``; return
+    its coded pairs.
 
     ``levels[d]`` holds the state set after ``token[:d]`` and the states
-    expanded to reach it; one level is appended per byte.  Returns False,
-    leaving the levels reached so far, once more than ``budget`` states
-    would be expanded.
+    expanded to reach it; one level is appended per byte but the last.
+    Returns None, leaving the levels reached so far, once more than
+    ``budget`` states would be expanded, the last byte's included.
     """
-    for byte in token[len(levels) - 1 :]:
+    for byte in token[len(levels) - 1 : -1]:
         states, expanded = levels[-1]
         expanded += len(states)
         if expanded > budget:
-            return False
-        levels.append((_step(states, byte, g, adj, len(levels)), expanded))
-    return True
-
-
-def _displacement(states: dict) -> Displacement:
-    return Displacement(
-        frozenset((q, out) for (out, _), queues in states.items() for q in queues)
-    )
+            return None
+        levels.append((_step(states, byte, g, after, len(levels)), expanded))
+    states, expanded = levels[-1]
+    if expanded + len(states) > budget:
+        return None
+    return _last_step(states, token[-1], g, after, len(token))
 
 
 def _trivial(token: bytes, g: GnfGrammar) -> Displacement | None:
@@ -130,7 +272,7 @@ def _trivial(token: bytes, g: GnfGrammar) -> Displacement | None:
         # The empty token moves no stack: a dedicated always-congruent value.
         return EPSILON_DISPLACEMENT
     if not g.alphabet.issuperset(token):
-        return Displacement(EMPTY_PAIRS)
+        return DEAD_DISPLACEMENT
     return None
 
 
@@ -149,10 +291,10 @@ def compute_displacement(
     d = _trivial(token, g)
     if d is not None:
         return d
-    levels = [_START]
-    if not _extend(levels, token, g, adj, budget):
+    codes = _walk([_start(g)], token, g, _coded_after(g, adj), budget)
+    if codes is None:
         raise SearchBudgetExceeded(token, budget)
-    return _displacement(levels[-1][0])
+    return Displacement(codes, g.nonterminals)
 
 
 def compute_displacement_annotated(
@@ -173,8 +315,7 @@ def compute_displacement_annotated(
     if not token:
         return EPSILON_DISPLACEMENT, EPSILON_DISPLACEMENT
     if any(b not in g.alphabet for b in token):
-        empty = Displacement(EMPTY_PAIRS)
-        return empty, empty
+        return DEAD_DISPLACEMENT, DEAD_DISPLACEMENT
 
     n = len(token)
     nodes = 0
@@ -291,8 +432,9 @@ def compute_all_displacements(
 
     The cyclic garbage collector is paused during the sweep and left as
     the caller had it.  The sweep builds no reference cycles, but it
-    allocates millions of tuples and sets, and collections triggered by
-    those allocations would traverse them over and over.
+    allocates a set of input queues per state, and collections triggered
+    by those allocations would traverse the live levels over and over
+    (about a tenth of the sweep on the expression grammar's Paull GNF).
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -307,7 +449,9 @@ def _sweep(
     tokens: list[bytes], g: GnfGrammar, adj: StackAdjacency | None, budget: int
 ) -> SweepResult:
     distinct: dict[bytes, Displacement | None] = dict.fromkeys(tokens)
-    levels = [_START]
+    shared_by_key: dict[frozenset, Displacement] = {}
+    after = _coded_after(g, adj)
+    levels = [_start(g)]
     path = b""  # the bytes walked to reach levels[-1]
     over: bytes | None = None  # the last prefix found over budget
     for t in sorted(distinct):
@@ -321,10 +465,13 @@ def _sweep(
                     break
                 shared += 1
             del levels[shared + 1 :]
-            if _extend(levels, t, g, adj, budget):
-                d = _displacement(levels[-1][0])
-            else:
+            codes = _walk(levels, t, g, after, budget)
+            if codes is None:
                 over = t[: len(levels)]
+            else:
+                d = shared_by_key.get(codes)
+                if d is None:
+                    d = shared_by_key[codes] = Displacement(codes, g.nonterminals)
             path = t[: len(levels) - 1]
         distinct[t] = d
 

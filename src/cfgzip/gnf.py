@@ -39,6 +39,13 @@ class GnfGrammar:
     when that nonterminal is popped on that byte, and ``by_byte`` maps a
     byte to the ``(head, tail)`` pairs of the productions leading with it,
     in production order.
+
+    The displacement walk reads both through a coding of the stack
+    symbols: ``code`` maps the nonterminal at index ``i`` to ``chr(i)``,
+    so a stack is a ``str`` with its top first and ``chr(len(nonterminals))``
+    is free as a separator.  ``coded_delta`` maps a byte to a dict from
+    the coded popped symbol to its coded tails, and ``coded_by_byte`` maps
+    a byte to its coded ``(head, tail)`` pairs.
     """
 
     nonterminals: tuple[str, ...]
@@ -48,11 +55,16 @@ class GnfGrammar:
     start_derives_epsilon: bool = False
     delta_map: dict = field(init=False, compare=False, repr=False)
     by_byte: dict = field(init=False, compare=False, repr=False)
+    code: dict = field(init=False, compare=False, repr=False)
+    coded_delta: dict = field(init=False, compare=False, repr=False)
+    coded_by_byte: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
         for head, term, tail in self.productions:
+            if head not in self.nonterminals:
+                raise GrammarError(f"unknown head symbol {head!r}")
             if not 0 <= term <= 255:
                 raise GrammarError(f"production {head!r} does not lead with a byte")
             if self.start in tail:
@@ -65,6 +77,18 @@ class GnfGrammar:
             by_byte.setdefault(term, []).append((head, tail))
         object.__setattr__(self, "by_byte", {k: tuple(v) for k, v in by_byte.items()})
         object.__setattr__(self, "delta_map", transition_function(self))
+        code = {nt: chr(i) for i, nt in enumerate(self.nonterminals)}
+        coded_delta: dict[int, dict[str, tuple[str, ...]]] = {}
+        for (byte, nt), tails in self.delta_map.items():
+            coded = tuple("".join(map(code.__getitem__, t)) for t in tails)
+            coded_delta.setdefault(byte, {})[code[nt]] = coded
+        coded_by_byte = {
+            byte: tuple((code[head], "".join(map(code.__getitem__, tail))) for head, tail in pairs)
+            for byte, pairs in self.by_byte.items()
+        }
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "coded_delta", coded_delta)
+        object.__setattr__(self, "coded_by_byte", coded_by_byte)
 
     def delta(self, byte: int, nt: str) -> tuple[tuple[str, ...], ...]:
         """Tails pushed when ``nt`` is popped on ``byte`` (empty if none)."""

@@ -58,6 +58,24 @@ def test_compile_strict_compression_on_mini_c(tmp_path, capsys):
     assert rec["classes"] < rec["tokens"]
 
 
+def test_compile_reports_stage_breakdown(tmp_path, capsys):
+    grammar = tmp_path / "arith.cfg"
+    grammar.write_text(GRAMMARS["arith"] + "\n")
+    vocab = tmp_path / "arith.vocab"
+    vocab.write_text(suite_vocabulary("arith").render())
+    cache = tmp_path / "arith.czc"
+    assert run_cli(*compile_args(grammar, vocab, cache, "--format", "json-lines")) == 0
+    rec = json.loads(capsys.readouterr().out.strip())
+    stages = ["gnf_s", "adjacency_s", "sweep_s", "classing_s", "save_s"]
+    for key in stages + ["gnf_productions", "pairs", "wall_s"]:
+        assert rec[key] >= 0, key
+    assert sum(rec[k] for k in stages) <= rec["wall_s"]
+    assert rec["gnf_productions"] > 0 and rec["pairs"] > 0
+    assert run_cli(*compile_args(grammar, vocab, cache)) == 0
+    text = capsys.readouterr().out
+    assert all(f"{k}=" in text for k in stages + ["gnf_productions", "pairs"])
+
+
 def test_compile_bad_grammar_exits_2(tmp_path, capsys):
     grammar = tmp_path / "bad.cfg"
     grammar.write_text('root ::= "a\n')

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cfgzip import (
     Displacement,
     SearchBudgetExceeded,
+    Vocabulary,
+    build_class_table,
     build_stack_adjacency,
     compute_all_displacements,
     compute_displacement,
@@ -21,7 +23,13 @@ from cfgzip import (
 )
 from cfgzip.displacement import EPSILON_DISPLACEMENT
 
-from conftest import figure_grammar, hosted_figure_grammar, suite_grammar, suite_vocabulary
+from conftest import (
+    GRAMMARS,
+    figure_grammar,
+    hosted_figure_grammar,
+    suite_grammar,
+    suite_vocabulary,
+)
 
 
 def single_rule_gnf():
@@ -290,3 +298,98 @@ def test_memoized_matches_naive_recursion():
             continue
         naive_pairs = frozenset((inq, out) for inq, out, _ in trace_displacement(token, gnf))
         assert compute_displacement(token, gnf, None).pairs == naive_pairs, token
+
+
+@st.composite
+def suite_vocabularies(draw):
+    """One of the five suite grammars, and a vocabulary of short tokens over
+    its alphabet with foreign bytes, the empty token, duplicates and an
+    end-of-sequence special."""
+    name = draw(st.sampled_from(sorted(GRAMMARS)))
+    gnf, _ = compiled(name)
+    foreign = min(set(range(1, 256)) - gnf.alphabet)
+    word = st.lists(st.sampled_from(sorted(gnf.alphabet) + [foreign]), max_size=5).map(bytes)
+    tokens = draw(st.lists(word, min_size=1, max_size=16))
+    tokens += draw(st.lists(st.sampled_from(tokens + [b""]), max_size=3))
+    tokens.append(b"\x00")
+    eos = len(tokens) - 1
+    return name, Vocabulary(tuple(tokens), frozenset({eos}), eos)
+
+
+def grouped_by_pairs(vocab, disps):
+    """c and r from grouping tokens on frozenset(d.pairs): specials alone,
+    over-budget tokens by bytes, byte-shortest representatives."""
+    keys, c, r = {}, [], []
+    for tid, token in enumerate(vocab.tokens):
+        d = disps[tid]
+        if tid in vocab.specials:
+            key = ("special", tid)
+        else:
+            key = ("fallback", token) if d is None else frozenset(d.pairs)
+        if key not in keys:
+            keys[key] = len(r)
+            r.append(tid)
+        cid = keys[key]
+        if (len(token), tid) < (len(vocab.tokens[r[cid]]), r[cid]):
+            r[cid] = tid
+        c.append(cid)
+    return c, r
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(suite_vocabularies())
+def test_coded_displacements_interoperate(drawn):
+    name, vocab = drawn
+    gnf, adj = compiled(name)
+    sweep = compute_all_displacements(vocab.tokens, gnf, adj)
+    for token, d in zip(vocab.tokens, sweep.displacements):
+        single = compute_displacement(token, gnf, adj)
+        named = Displacement(frozenset(d.pairs))
+        assert d == single and hash(d) == hash(single), token
+        assert d == named and named == d and hash(d) == hash(named), token
+        assert d.pairs == named.pairs and named.pairs == d.pairs, token
+        assert len(d.pairs) == len(named.pairs) and bool(d) == bool(named), token
+        assert d.sorted_pairs() == named.sorted_pairs(), token
+        assert d.max_input_len() == named.max_input_len(), token
+        assert all(pair in d.pairs for pair in named.pairs), token
+        if len(token) <= 4:
+            _, filtered = compute_displacement_annotated(token, gnf, adj)
+            assert filtered.pairs == d.pairs and filtered == d, token
+    tbl = build_class_table(vocab, sweep.displacements)
+    c, r = grouped_by_pairs(vocab, sweep.displacements)
+    assert tbl.c.tolist() == c and tbl.r.tolist() == r
+
+
+# Two left-recursive levels under postfix forms: 14 productions become
+# 856 in GNF, and 110 two-byte tokens carry about 55k pairs.
+HEAVY = """
+expr ::= expr "<" sum | sum
+sum ::= sum "+" term | sum "-" term | term
+term ::= term "*" unary | unary
+unary ::= "-" unary | postfix
+postfix ::= primary | primary "(" ")" | primary "[" expr "]"
+primary ::= "a" | "1" | "(" expr ")"
+"""
+
+
+def test_sweep_keeps_no_object_per_pair():
+    g = validate(parse_grammar(HEAVY))
+    gnf = to_gnf(g)
+    adj = build_stack_adjacency(gnf)
+    alphabet = sorted(g.alphabet)
+    tokens = [bytes([a]) for a in alphabet] + [bytes([a, b]) for a in alphabet for b in alphabet]
+    was = gc.isenabled()
+    gc.collect()
+    # With the collector off nothing is untracked behind the count's back.
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        sweep = compute_all_displacements(tokens, gnf, adj)
+        grown = len(gc.get_objects()) - before
+        pairs = sum(len(d.pairs) for d in {d.key: d for d in sweep.displacements}.values())
+        assert len(gc.get_objects()) - before == grown
+    finally:
+        if was:
+            gc.enable()
+    assert pairs > 100 * len(tokens)
+    assert grown <= 2 * len(tokens) + 10, (grown, pairs)

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from cfgzip import (
+    GnfGrammar,
     GnfSizeError,
+    GrammarError,
     parse_grammar,
     pda_accepts,
     pda_prefix_viable,
@@ -168,3 +170,10 @@ def test_gnf_deterministic():
     b = to_gnf(suite_grammar("mini_c"))
     assert a.productions == b.productions
     assert a.nonterminals == b.nonterminals
+
+
+def test_gnf_grammar_rejects_unknown_head():
+    with pytest.raises(GrammarError, match="unknown head"):
+        GnfGrammar(
+            nonterminals=("S",), alphabet=frozenset({97}), productions=(("T", 97, ()),), start="S"
+        )
