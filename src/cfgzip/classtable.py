@@ -33,7 +33,7 @@ class CacheError(ValueError):
 
 
 class CacheFormatError(CacheError):
-    """Bad magic, truncated file, or checksum mismatch."""
+    """Bad magic, truncated file, checksum mismatch, or an id out of range."""
 
 
 class CacheVersionError(CacheError):
@@ -270,6 +270,10 @@ def load_cache(
     r = np.frombuffer(data, dtype="<u4", count=e_count, offset=off).copy()
     off += 4 * e_count
     pt = np.frombuffer(data, dtype="<u4", count=p_count, offset=off)
+    # A valid checksum does not make the ids valid, and the engine indexes with them.
+    for name, ids, bound in (("c", c, e_count), ("r", r, t_count), ("pass-through", pt, e_count)):
+        if np.any(ids >= bound):
+            raise CacheFormatError(f"{name} holds an id out of range (want < {bound})")
     return ClassTable(
         c=c,
         r=r,

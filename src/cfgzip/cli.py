@@ -331,7 +331,7 @@ def cmd_inspect(ns) -> int:
             tags.append("pass-through")
         elif disps[k] is None:
             tags.append("budget fallback")
-        elif not disps[k].pairs:
+        elif not disps[k]:
             tags.append("never valid")
         sample = [f'"{_escape_bytes(vocab.tokens[m])}"' for m in members[k][:5]]
         records.append(

@@ -23,12 +23,12 @@ state's key is one string, the previous symbol followed by the output
 stack.  The last byte of a token builds no state set, because the
 previous symbol no longer matters: it yields the token's pairs directly,
 each coded as output stack, separator ``chr(len(nonterminals))``, input
-stack.  The frozenset of those strings is the token's canonical key;
-tokens with equal keys share one ``Displacement``, and the class table
-groups on the key.  Strings are not tracked by the cyclic collector, so
-what a sweep leaves alive is a few objects per distinct displacement, not
-one tuple per pair.  ``Displacement.pairs`` decodes on demand and reads
-as the set of name-tuple pairs.
+stack.  The frozenset of those strings is the token's key, and a
+``Displacement`` is that key with the grammar's nonterminal names; it
+compares and hashes without decoding.  Tokens with equal keys share one
+``Displacement``, and the class table groups on the key.  Strings are not
+tracked by the cyclic collector, so what a sweep leaves alive is a few
+objects per distinct displacement, not one tuple per pair.
 
 A state set depends only on the bytes consumed so far, so the sweep walks
 the distinct tokens in sorted byte order and keeps one state set per
@@ -44,6 +44,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .adjacency import StackAdjacency
 from .gnf import GnfGrammar
@@ -60,12 +61,29 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"displacement walk for token {token!r} exceeded {budget} states")
 
 
-class CodedPairs(Set):
-    """A coded pair set read as its (input stack, output stack) name tuples.
+@lru_cache(maxsize=16)
+def _index(names: tuple[str, ...]) -> dict[str, str]:
+    return {nt: chr(i) for i, nt in enumerate(names)}
 
-    It compares equal to the frozenset of those tuples and hashes like
-    it.  ``len`` and membership read the codes; iterating decodes one
-    pair at a time, and set operators return plain frozensets.
+
+def _encode(q, out, names: tuple[str, ...]) -> str:
+    """The pair string of input stack ``q`` and output stack ``out``, given as names."""
+    code = _index(names).__getitem__
+    return "".join(map(code, out)) + chr(len(names)) + "".join(map(code, q))
+
+
+def _decode(pair: str, names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (input stack, output stack) names of a pair string."""
+    out, _, q = pair.partition(chr(len(names)))
+    return tuple(names[ord(c)] for c in q), tuple(names[ord(c)] for c in out)
+
+
+class CodedPairs(Set):
+    """A read-only view of pair strings as (input stack, output stack) names.
+
+    ``len`` and membership read the strings; iterating decodes one pair
+    at a time.  It compares equal to the frozenset of the name tuples, set
+    operators return plain frozensets, and it is not hashable.
     """
 
     __slots__ = ("codes", "names")
@@ -78,16 +96,12 @@ class CodedPairs(Set):
         return len(self.codes)
 
     def __iter__(self):
-        names = self.names
-        for code in self.codes:
-            out, _, q = code.partition(chr(len(names)))
-            yield tuple(names[ord(c)] for c in q), tuple(names[ord(c)] for c in out)
+        return (_decode(code, self.names) for code in self.codes)
 
     def __contains__(self, pair) -> bool:
-        code = {nt: chr(i) for i, nt in enumerate(self.names)}.__getitem__
         try:
             q, out = pair
-            coded = "".join(map(code, out)) + chr(len(self.names)) + "".join(map(code, q))
+            coded = _encode(q, out, self.names)
         except (KeyError, TypeError, ValueError):
             return False
         return coded in self.codes
@@ -96,9 +110,6 @@ class CodedPairs(Set):
         if isinstance(other, CodedPairs) and other.names == self.names:
             return self.codes == other.codes
         return Set.__eq__(self, other)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))
 
     def __repr__(self) -> str:
         return repr(frozenset(self))
@@ -111,31 +122,24 @@ class CodedPairs(Set):
 class Displacement:
     """Set of (input stack, output stack) pairs for one token.
 
-    ``Displacement(pairs)`` takes a frozenset of name-tuple pairs.  The
-    sweep builds coded ones instead, ``Displacement(codes, names)``, whose
-    ``codes`` are pair strings in the coding of a grammar with
-    nonterminals ``names`` (see ``GnfGrammar.code``) and whose ``pairs``
-    is a ``CodedPairs`` view.  Either way equality and hashing follow the
-    set of name-tuple pairs, so class identity is independent of discovery
-    order and of the representation; hashing a coded one decodes it once.
-    ``sorted_pairs`` gives the canonical ordering used for dumps and
-    serialisation.
-
-    ``key`` identifies a displacement among those of one grammar without
-    decoding: equal displacements from one sweep share one key (and one
-    object), and every empty displacement has the key ``frozenset()``.
+    ``key`` is the frozenset of the pairs' strings in the coding of the
+    grammar with nonterminals ``names`` (see ``GnfGrammar.code``), each the
+    output stack, the separator ``chr(len(names))``, then the input stack.
+    Equality compares ``key`` and ``names`` and the hash is ``hash(key)``:
+    nothing decodes.  ``pairs`` is a read-only ``CodedPairs`` view that
+    decodes name tuples when iterated; ``sorted_pairs`` is their canonical
+    order, used for dumps.
     """
 
-    __slots__ = ("key", "names", "_hash")
+    __slots__ = ("key", "names")
 
-    def __init__(self, pairs: frozenset, names: tuple[str, ...] | None = None):
-        self.key = frozenset(pairs)
+    def __init__(self, key: frozenset, names: tuple[str, ...]):
+        self.key = key
         self.names = names
-        self._hash = None
 
     @property
-    def pairs(self):
-        return self.key if self.names is None else CodedPairs(self.key, self.names)
+    def pairs(self) -> CodedPairs:
+        return CodedPairs(self.key, self.names)
 
     def __bool__(self) -> bool:
         return bool(self.key)
@@ -143,14 +147,10 @@ class Displacement:
     def __eq__(self, other):
         if not isinstance(other, Displacement):
             return NotImplemented
-        if other.names == self.names:
-            return self.key == other.key
-        return self.pairs == other.pairs
+        return self.key == other.key and self.names == other.names
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.pairs))
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"Displacement(pairs={frozenset(self.pairs)!r})"
@@ -159,14 +159,8 @@ class Displacement:
         return sorted(self.pairs)
 
     def max_input_len(self) -> int:
-        if self.names is None:
-            return max((len(a) for a, _ in self.key), default=0)
         sep = chr(len(self.names))
         return max((len(code) - code.index(sep) - 1 for code in self.key), default=0)
-
-
-EPSILON_DISPLACEMENT = Displacement(frozenset({((), ())}))
-DEAD_DISPLACEMENT = Displacement(frozenset())
 
 
 # The state set before any byte, keyed by its previous symbol and output
@@ -266,13 +260,14 @@ def _walk(levels: list, token: bytes, g: GnfGrammar, after: dict, budget: int) -
     return _last_step(states, token[-1], g, after, len(token))
 
 
-def _trivial(token: bytes, g: GnfGrammar) -> Displacement | None:
-    """The displacement of a token that needs no walk, else None."""
+def _trivial(token: bytes, g: GnfGrammar) -> frozenset | None:
+    """The key of a token that needs no walk, else None."""
     if not token:
-        # The empty token moves no stack: a dedicated always-congruent value.
-        return EPSILON_DISPLACEMENT
+        # The empty token moves no stack: one pair, both stacks empty.  A
+        # walk's first byte backtracks, so no walked pair has an empty input stack.
+        return frozenset({chr(len(g.nonterminals))})
     if not g.alphabet.issuperset(token):
-        return DEAD_DISPLACEMENT
+        return frozenset()
     return None
 
 
@@ -288,12 +283,11 @@ def compute_displacement(
     which explores every hypothetical input stack.  Raises
     SearchBudgetExceeded when more than ``budget`` states are expanded.
     """
-    d = _trivial(token, g)
-    if d is not None:
-        return d
-    codes = _walk([_start(g)], token, g, _coded_after(g, adj), budget)
+    codes = _trivial(token, g)
     if codes is None:
-        raise SearchBudgetExceeded(token, budget)
+        codes = _walk([_start(g)], token, g, _coded_after(g, adj), budget)
+        if codes is None:
+            raise SearchBudgetExceeded(token, budget)
     return Displacement(codes, g.nonterminals)
 
 
@@ -309,13 +303,13 @@ def compute_displacement_annotated(
     subset of pairs reachable through a path whose every backtrack passes
     the adjacency check.  ``filtered`` must equal the pruned search's
     result; the comparison is a regression check on the in-search pruning.
-    This is a backward, memoized search sharing no code with the forward
-    walk, so the check stays independent of it.
+    This is a backward, memoized search over names, coded only at the end:
+    it shares no code with the forward walk, so the check stays independent.
     """
-    if not token:
-        return EPSILON_DISPLACEMENT, EPSILON_DISPLACEMENT
-    if any(b not in g.alphabet for b in token):
-        return DEAD_DISPLACEMENT, DEAD_DISPLACEMENT
+    codes = _trivial(token, g)
+    if codes is not None:
+        d = Displacement(codes, g.nonterminals)
+        return d, d
 
     n = len(token)
     nodes = 0
@@ -351,9 +345,9 @@ def compute_displacement_annotated(
         return res
 
     triples = search(0, (), None)
-    raw = Displacement(frozenset((a, f) for a, f, _ in triples))
-    filtered = Displacement(frozenset((a, f) for a, f, ok in triples if ok))
-    return raw, filtered
+    raw = frozenset(_encode(a, f, g.nonterminals) for a, f, _ in triples)
+    filtered = frozenset(_encode(a, f, g.nonterminals) for a, f, ok in triples if ok)
+    return Displacement(raw, g.nonterminals), Displacement(filtered, g.nonterminals)
 
 
 @dataclass(frozen=True)
@@ -455,8 +449,8 @@ def _sweep(
     path = b""  # the bytes walked to reach levels[-1]
     over: bytes | None = None  # the last prefix found over budget
     for t in sorted(distinct):
-        d = _trivial(t, g)
-        if d is None:
+        codes = _trivial(t, g)
+        if codes is None:
             if over is not None and t.startswith(over):
                 continue
             shared = 0
@@ -468,12 +462,12 @@ def _sweep(
             codes = _walk(levels, t, g, after, budget)
             if codes is None:
                 over = t[: len(levels)]
-            else:
-                d = shared_by_key.get(codes)
-                if d is None:
-                    d = shared_by_key[codes] = Displacement(codes, g.nonterminals)
             path = t[: len(levels) - 1]
-        distinct[t] = d
+        if codes is not None:
+            d = shared_by_key.get(codes)
+            if d is None:
+                d = shared_by_key[codes] = Displacement(codes, g.nonterminals)
+            distinct[t] = d
 
     displacements = [distinct[t] for t in tokens]
     exceeded = [i for i, d in enumerate(displacements) if d is None]

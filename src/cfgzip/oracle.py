@@ -158,6 +158,8 @@ class Oracle:
         self.nullable = self.cnf.nullable
         self.word_bound = word_bound
         self._charts: dict[bytes, list[list[int]]] = {}
+        # context_signature's results, keyed by (token, bound).
+        self._signatures: dict[tuple[bytes, int], frozenset] = {}
 
     def _chart(self, w: bytes) -> list[list[int]]:
         got = self._charts.get(w)
@@ -453,9 +455,7 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
     """
     oracle = _oracle_for(g)
     g = oracle.grammar
-    cached = getattr(oracle, "_sig_cache", None)
-    if cached is None:
-        cached = oracle._sig_cache = {}
+    cached = oracle._signatures
     key = (token, bound)
     if key in cached:
         return cached[key]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 
@@ -220,3 +222,15 @@ def counting_closes():
         yield closed
     finally:
         _EngineGrammar.close = close
+
+
+def rewrite_cache_id(path, field: str, value: int) -> None:
+    """Set the first id of ``field`` ("c", "r" or "passthrough") in a
+    cache file to ``value`` and recompute the CRC, so only the id is wrong."""
+    data = bytearray(path.read_bytes())
+    # The 84-byte header ends with the token, class and pass-through counts.
+    t_count, e_count = struct.unpack_from("<II", data, 72)
+    offset = 84 + 4 * {"c": 0, "r": t_count, "passthrough": t_count + e_count}[field]
+    struct.pack_into("<I", data, offset, value)
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    path.write_bytes(bytes(data))

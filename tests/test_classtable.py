@@ -23,7 +23,7 @@ from cfgzip import (
     validate,
 )
 
-from conftest import suite_grammar, suite_vocabulary
+from conftest import rewrite_cache_id, suite_grammar, suite_vocabulary
 
 
 def small_table(name="dyck1", vocab=None):
@@ -166,6 +166,20 @@ def test_truncated_cache(tmp_path):
     save_cache(tbl, path)
     path.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(CacheFormatError):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("field", ["c", "r", "passthrough"])
+def test_out_of_range_id_with_valid_checksum(tmp_path, field):
+    vocab, tbl = small_table()
+    assert tbl.passthrough
+    bound = tbl.token_count if field == "r" else tbl.class_count
+    path = tmp_path / "t.czc"
+    save_cache(tbl, path)
+    rewrite_cache_id(path, field, bound - 1)
+    load_cache(path)  # the largest valid id loads
+    rewrite_cache_id(path, field, bound)
+    with pytest.raises(CacheFormatError, match="out of range"):
         load_cache(path)
 
 

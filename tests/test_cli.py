@@ -10,7 +10,7 @@ import pytest
 
 from cfgzip.cli import build_parser, main
 
-from conftest import GRAMMARS, suite_vocabulary
+from conftest import GRAMMARS, rewrite_cache_id, suite_vocabulary
 
 
 @pytest.fixture()
@@ -134,6 +134,20 @@ def test_verify_corrupted_cache_fails(dyck1_files, capsys):
     rc = run_cli("verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache)
     assert rc == 1
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench", "inspect"])
+@pytest.mark.parametrize("field", ["r", "passthrough"])
+def test_out_of_range_cache_ids_fail_to_load(dyck1_files, command, field, capsys):
+    # The checksum is valid; only one representative or pass-through id is wrong.
+    grammar, vocab, cache = dyck1_files
+    run_cli(*compile_args(grammar, vocab, cache))
+    rewrite_cache_id(cache, field, 99)
+    rc = run_cli(command, "--grammar", grammar, "--vocab", vocab, "--cache", cache)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{command}: cache failed to load" in err and "out of range" in err
+    assert "Traceback" not in err
 
 
 def test_verify_stale_cache_fails(dyck1_files, tmp_path, capsys):

@@ -21,7 +21,6 @@ from cfgzip import (
     trace_displacement,
     validate,
 )
-from cfgzip.displacement import EPSILON_DISPLACEMENT
 
 from conftest import (
     GRAMMARS,
@@ -100,8 +99,9 @@ def test_first_step_backtrack_is_unpruned():
 def test_empty_token_gets_identity_displacement():
     gnf = to_gnf(suite_grammar("dyck1"))
     d = compute_displacement(b"", gnf, None)
-    assert d == EPSILON_DISPLACEMENT
+    assert d == compute_displacement(b"", gnf, build_stack_adjacency(gnf))
     assert d.pairs == frozenset({((), ())})
+    assert d.key == frozenset({chr(len(gnf.nonterminals))})
 
 
 def test_byte_outside_alphabet_is_dead_without_search():
@@ -156,10 +156,16 @@ def test_budget_exceeded_raises():
 
 
 def test_displacement_hash_is_order_independent():
-    a = Displacement(frozenset({(("A",), ("B",)), (("C",), ())}))
-    b = Displacement(frozenset({(("C",), ()), (("A",), ("B",))}))
+    # Nonterminals A, B, C code as chr(0), chr(1), chr(2); the separator is chr(3).
+    names = ("A", "B", "C")
+    pairs = ["\x01\x03\x00", "\x03\x02"]  # (("A",), ("B",)) and (("C",), ())
+    a = Displacement(frozenset(pairs), names)
+    b = Displacement(frozenset(reversed(pairs)), tuple(names))
     assert a == b and hash(a) == hash(b)
-    assert a.sorted_pairs() == b.sorted_pairs()
+    assert hash(a) == hash(a.key)
+    assert a.sorted_pairs() == b.sorted_pairs() == [(("A",), ("B",)), (("C",), ())]
+    assert a != Displacement(frozenset(pairs), ("A", "B", "D"))
+    assert (("A",), ("B",)) in a.pairs and (("Z",), ()) not in a.pairs and 1 not in a.pairs
 
 
 def test_sweep_trivial_vocab():
@@ -344,14 +350,13 @@ def test_coded_displacements_interoperate(drawn):
     sweep = compute_all_displacements(vocab.tokens, gnf, adj)
     for token, d in zip(vocab.tokens, sweep.displacements):
         single = compute_displacement(token, gnf, adj)
-        named = Displacement(frozenset(d.pairs))
-        assert d == single and hash(d) == hash(single), token
-        assert d == named and named == d and hash(d) == hash(named), token
-        assert d.pairs == named.pairs and named.pairs == d.pairs, token
-        assert len(d.pairs) == len(named.pairs) and bool(d) == bool(named), token
-        assert d.sorted_pairs() == named.sorted_pairs(), token
-        assert d.max_input_len() == named.max_input_len(), token
-        assert all(pair in d.pairs for pair in named.pairs), token
+        named = frozenset(d.pairs)
+        assert d == single and hash(d) == hash(single) == hash(d.key), token
+        assert d.pairs == named and named == d.pairs, token
+        assert len(d.pairs) == len(named) and bool(d) == bool(named), token
+        assert d.sorted_pairs() == sorted(named), token
+        assert d.max_input_len() == max((len(q) for q, _ in named), default=0), token
+        assert all(pair in d.pairs for pair in named), token
         if len(token) <= 4:
             _, filtered = compute_displacement_annotated(token, gnf, adj)
             assert filtered.pairs == d.pairs and filtered == d, token
