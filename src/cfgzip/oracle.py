@@ -2,16 +2,19 @@
 
 Everything here is deliberately independent of the decoding engine: the
 recognizer is a bottom-up CYK over a binarized copy of the grammar, and
-the prefix / context computations are span DPs over the original
-productions driven by that chart.  The engine must never be able to agree
-with these oracles simply by sharing their bugs.
+the prefix computation is a span DP over the original productions driven
+by that chart.  The engine must never be able to agree with these
+oracles simply by sharing their bugs.
 
 Congruence checking is exact up to the context bound: two strings are
 reported congruent iff no pair of contexts ``(w, z)`` with both sides at
-most ``bound`` bytes long distinguishes them.  Contexts that are not
-viable (``w`` not a prefix of any word, ``z`` not a suffix) can never
-distinguish anything, so signatures are naturally restricted to the
-viable universe without loss.
+most ``bound`` bytes long distinguishes them.  A token's signature, the
+set of contexts accepting it, is one fixpoint over the original
+productions: each symbol derives free strings of at most ``bound`` bytes
+and segments anchored on the token (``w + t[:j]``, ``t[i:j]``,
+``t[i:] + z`` and ``w + t + z``), and segments join only where they meet
+inside the token.  It never reads the CYK chart, so it is checked against
+the recognizer rather than computed from it.
 """
 
 from __future__ import annotations
@@ -158,8 +161,10 @@ class Oracle:
         self.nullable = self.cnf.nullable
         self.word_bound = word_bound
         self._charts: dict[bytes, list[list[int]]] = {}
-        # context_signature's results, keyed by (token, bound).
+        # context_signature's results, keyed by (token, bound), and the
+        # free yields it extends contexts with, keyed by bound.
         self._signatures: dict[tuple[bytes, int], frozenset] = {}
+        self._free: dict[int, dict[str | int, tuple[tuple[bytes, ...], ...]]] = {}
 
     def _chart(self, w: bytes) -> list[list[int]]:
         got = self._charts.get(w)
@@ -358,92 +363,71 @@ def bounded_language(g: Cfg, max_len: int) -> frozenset[bytes]:
 # Bounded-context signatures (the congruence oracle)
 
 
-def _cap_concat(left: frozenset[bytes] | set[bytes], right, bound: int) -> set[bytes]:
-    out = set()
-    for a in left:
-        for b in right:
-            if len(a) + len(b) <= bound:
-                out.add(a + b)
-    return out
-
-
-class _ContextUniverse:
-    """Grammar-level tables shared by every signature at one bound."""
-
-    def __init__(self, g: Cfg, bound: int):
-        self.grammar = g
-        self.bound = bound
-        # Free yields: every string of length <= bound each symbol derives.
-        free: dict[str, set[bytes]] = {nt: set() for nt in g.nonterminals}
-        changed = True
-        while changed:
-            changed = False
-            for head, body in g.productions:
-                acc = {b""}
-                for sym in body:
-                    piece = (bytes([sym]),) if isinstance(sym, int) else free[sym]
-                    acc = _cap_concat(acc, piece, bound)
-                    if not acc:
-                        break
-                new = acc - free[head]
-                if new:
-                    free[head] |= new
-                    changed = True
-        self.free = {nt: frozenset(v) for nt, v in free.items()}
-
-        # Per-production capped free concatenations of body prefixes and
-        # suffixes, bucketed by length so joins can skip oversized combos.
-        def bucketed(strings):
-            buckets = [[] for _ in range(bound + 1)]
-            for s in strings:
-                buckets[len(s)].append(s)
-            return tuple(tuple(b) for b in buckets)
-
-        self.fp: list[list[tuple]] = []
-        self.fs: list[list[tuple]] = []
+def _free_yields(g: Cfg, bound: int) -> dict[str | int, tuple[tuple[bytes, ...], ...]]:
+    """Every string of at most ``bound`` bytes each symbol derives, bucketed
+    by length (bucket 0 holds ``b""`` iff the symbol is nullable)."""
+    free: dict[str | int, set[bytes]] = {nt: set() for nt in g.nonterminals}
+    free.update((b, {bytes([b])}) for b in g.alphabet)
+    changed = True
+    while changed:
+        changed = False
         for head, body in g.productions:
-            k = len(body)
-            flat = [{b""}]
+            acc = {b""}
             for sym in body:
-                piece = (bytes([sym]),) if isinstance(sym, int) else self.free[sym]
-                flat.append(_cap_concat(flat[-1], piece, bound))
-            fp = [bucketed(s) for s in flat]
-            flat = [None] * (k + 1)
-            flat[k] = {b""}
-            for idx in range(k - 1, -1, -1):
-                sym = body[idx]
-                piece = (bytes([sym]),) if isinstance(sym, int) else self.free[sym]
-                flat[idx] = _cap_concat(piece, flat[idx + 1], bound)
-            fs = [bucketed(s) for s in flat]
-            self.fp.append(fp)
-            self.fs.append(fs)
+                acc = {a + b for a in acc for b in free[sym] if len(a) + len(b) <= bound}
+                if not acc:
+                    break
+            new = acc - free[head]
+            if new:
+                free[head] |= new
+                changed = True
+    return {
+        sym: tuple(tuple(s for s in strings if len(s) == k) for k in range(bound + 1))
+        for sym, strings in free.items()
+    }
 
 
-def _join_fringe(buckets, parts, bound: int, prepend: bool) -> set[bytes]:
-    """Concatenate a length-bucketed fringe with a small dynamic set."""
-    out = set()
-    for part in parts:
-        room = bound - len(part)
-        if prepend:
-            for length in range(room + 1):
-                for frag in buckets[length]:
-                    out.add(frag + part)
+def _extend_right(groups: dict, starting: dict, free: tuple, bound: int) -> dict:
+    """Segments ``{end: starts}`` followed by one more symbol: an end inside
+    the token joins the symbol's segments starting there (``starting``:
+    ``{start: ends}``), a trailing context ``z`` grows by the symbol's free
+    strings within the bound, and a nullable symbol passes segments through."""
+    out: dict = {}
+    for end, starts in groups.items():
+        if isinstance(end, int):
+            for far in starting.get(end, ()):
+                out.setdefault(far, set()).update(starts)
+            if free[0]:
+                out.setdefault(end, set()).update(starts)
         else:
-            for length in range(room + 1):
-                for frag in buckets[length]:
-                    out.add(part + frag)
+            for length in range(bound - len(end) + 1):
+                for f in free[length]:
+                    out.setdefault(end + f, set()).update(starts)
     return out
 
 
-_universes: dict[tuple[Cfg, int], _ContextUniverse] = {}
-
-
-def _universe_for(g: Cfg, bound: int) -> _ContextUniverse:
-    key = (g, bound)
-    got = _universes.get(key)
-    if got is None:
-        got = _universes[key] = _ContextUniverse(g, bound)
-    return got
+def _extend_left(groups: dict, ending: dict, free: tuple, bound: int) -> dict:
+    """Segments ``{end: starts}`` preceded by one more symbol, the mirror of
+    ``_extend_right`` (``ending``: the symbol's ``{end: starts}``)."""
+    out: dict = {}
+    grown: dict = {}
+    for end, starts in groups.items():
+        acc = set()
+        for start in starts:
+            got = grown.get(start)
+            if got is None:
+                if isinstance(start, int):
+                    got = set(ending.get(start, ()))
+                    if free[0]:
+                        got.add(start)
+                else:
+                    room = bound - len(start)
+                    got = {f + start for length in range(room + 1) for f in free[length]}
+                grown[start] = got
+            acc |= got
+        if acc:
+            out[end] = acc
+    return out
 
 
 def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[bytes, bytes]]:
@@ -452,6 +436,20 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
     Returns the set of pairs ``(w, z)`` with ``|w|, |z| <= bound`` such
     that ``w + token + z`` is in the language.  Two tokens are congruent
     within the bound iff their signatures are equal.
+
+    For a non-empty token of length ``n`` this is the grammar intersected
+    with the regular set of ``w + token + z`` (Bar-Hillel et al. 1961), run
+    as one semi-naive fixpoint over the segments each symbol derives.  A
+    segment is a pair ``(start, end)``: a start is a position ``0 < i < n``
+    of the token or the context string ``w`` in front of it, an end is a
+    position ``0 < j < n`` or the context string ``z`` after it.  So
+    ``(w, j)`` is ``w + token[:j]``, ``(i, j)`` is ``token[i:j]``,
+    ``(i, z)`` is ``token[i:] + z`` and ``(w, z)`` is ``w + token + z``;
+    the start symbol's ``(w, z)`` segments are the signature.  Segments
+    join where an end and a start name the same position, and context
+    strings grow by the free yields of their neighbours.  The CYK chart is
+    never read, so the signature is independent of the recognizer it is
+    checked against.
     """
     oracle = _oracle_for(g)
     g = oracle.grammar
@@ -472,209 +470,58 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
         return result
 
     n = len(token)
-    uni = _universe_for(g, bound)
-    in_span = oracle.spans(token)
+    free = oracle._free.get(bound)
+    if free is None:
+        free = oracle._free[bound] = _free_yields(g, bound)
+    # Each symbol's segments as {end: starts}; those starting inside the
+    # token also as {start: ends}.
+    ending: dict = {sym: {} for sym in free}
+    starting: dict = {sym: {} for sym in free}
+    # Terminals seed the first round: byte token[p] spans p..p+1, and the
+    # token's own ends are empty context strings.
+    fresh: dict = {}
+    for p, b in enumerate(token):
+        if b in free:
+            start, end = p or b"", p + 1 if p + 1 < n else b""
+            ending[b][end] = {start}
+            fresh.setdefault(b, {})[end] = {start}
+            if p:
+                starting[b][start] = {end}
 
-    span_memo: dict[tuple[str, int], tuple[int, ...]] = {}
-
-    def span_ends(sym: int | str, p: int):
-        if isinstance(sym, int):
-            return (p + 1,) if p < n and token[p] == sym else ()
-        got = span_memo.get((sym, p))
-        if got is None:
-            got = span_memo[(sym, p)] = tuple(
-                q for q in range(p, n + 1) if in_span(sym, p, q)
-            )
-        return got
-
-    # seg_ends(prod, a, b, p): positions reachable when children a..b-1
-    # derive token[p:...] exactly.  Chart-driven, so round-invariant.
-    seg_memo: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-    def seg_ends(pi: int, a: int, b: int, p: int) -> tuple[int, ...]:
-        if a == b:
-            return (p,)
-        key2 = (pi, a, b, p)
-        got = seg_memo.get(key2)
-        if got is not None:
-            return got
-        body = g.productions[pi][1]
-        positions = {p}
-        for idx in range(a, b):
-            positions = {q for j in positions for q in span_ends(body[idx], j)}
-            if not positions:
-                break
-        got = seg_memo[key2] = tuple(sorted(positions))
-        return got
-
-    # Semi-naive fixpoint: each round only recombines facts discovered in
-    # the previous round, so total work tracks the number of derivations
-    # rather than rounds times full set products.  Terminal children act as
-    # static facts that are "fresh" in the first round only.
-    lc: dict[tuple[str, int], set[bytes]] = {}
-    rc: dict[tuple[str, int], set[bytes]] = {}
-    bb: dict[str, set[tuple[bytes, bytes]]] = {nt: set() for nt in g.nonterminals}
-    lc_fresh: dict[tuple[str, int], set[bytes]] = {}
-    rc_fresh: dict[tuple[str, int], set[bytes]] = {}
-    bb_fresh: dict[str, set[tuple[bytes, bytes]]] = {nt: set() for nt in g.nonterminals}
-    for nt in g.nonterminals:
-        for j in range(1, n + 1):
-            seed = {b""} if in_span(nt, 0, j) else set()
-            lc[(nt, j)] = set(seed)
-            lc_fresh[(nt, j)] = set(seed)
-        for i in range(n):
-            seed = {b""} if in_span(nt, i, n) else set()
-            rc[(nt, i)] = set(seed)
-            rc_fresh[(nt, i)] = set(seed)
-
-    first_round = True
-
-    def lc_parts(sym: int | str, p: int, fresh_only: bool):
-        if isinstance(sym, int):
-            full = {b""} if (p == 1 and token[0] == sym) else set()
-            return (full if first_round else set()) if fresh_only else full
-        return lc_fresh[(sym, p)] if fresh_only else lc[(sym, p)]
-
-    def rc_parts(sym: int | str, q: int, fresh_only: bool):
-        if isinstance(sym, int):
-            full = {b""} if (q == n - 1 and token[q] == sym) else set()
-            return (full if first_round else set()) if fresh_only else full
-        return rc_fresh[(sym, q)] if fresh_only else rc[(sym, q)]
-
-    def bb_parts(sym: int | str, fresh_only: bool):
-        if isinstance(sym, int):
-            full = {(b"", b"")} if (n == 1 and token[0] == sym) else set()
-            return (full if first_round else set()) if fresh_only else full
-        return bb_fresh[sym] if fresh_only else bb[sym]
-
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 100_000:
-            raise RuntimeError("context signature fixpoint failed to converge")
-        lc_add: dict[tuple[str, int], set[bytes]] = {}
-        rc_add: dict[tuple[str, int], set[bytes]] = {}
-        bb_add: dict[str, set[tuple[bytes, bytes]]] = {}
-
-        for pi, (head, body) in enumerate(g.productions):
-            k = len(body)
-            fp = uni.fp[pi]
-            fs = uni.fs[pi]
-            # Lc: straddler at child mi, trailing children chain to j.
-            for mi in range(k):
-                if not any(fp[mi]):
+    # Semi-naive: each round extends only the segments found in the last
+    # round, over the current segments of the other children.
+    while fresh:
+        found: dict = {}
+        for head, body in g.productions:
+            for mi, sym in enumerate(body):
+                groups = fresh.get(sym)
+                if not groups:
                     continue
-                for p in range(1, n + 1):
-                    ws = lc_parts(body[mi], p, fresh_only=True)
-                    if not ws:
-                        continue
-                    ends = seg_ends(pi, mi + 1, k, p)
-                    if not ends:
-                        continue
-                    combined = _join_fringe(fp[mi], ws, bound, prepend=True)
-                    for j in ends:
-                        if combined:
-                            lc_add.setdefault((head, j), set()).update(combined)
-            # Rc: leading children chain i..q, straddler at child mi.
-            for mi in range(k):
-                if not any(fs[mi + 1]):
-                    continue
-                for i in range(n):
-                    for q in seg_ends(pi, 0, mi, i):
-                        if q > n - 1:
-                            continue
-                        zs = rc_parts(body[mi], q, fresh_only=True)
-                        if not zs:
-                            continue
-                        combined = _join_fringe(fs[mi + 1], zs, bound, prepend=False)
-                        if combined:
-                            rc_add.setdefault((head, i), set()).update(combined)
-            # BB shape (i): one child holds the whole token.
-            for mi in range(k):
-                inner = bb_parts(body[mi], fresh_only=True)
-                if not inner or not any(fp[mi]) or not any(fs[mi + 1]):
-                    continue
-                slot = bb_add.setdefault(head, set())
-                for (w1, z1) in inner:
-                    ws = _join_fringe(fp[mi], (w1,), bound, prepend=True)
-                    zs = _join_fringe(fs[mi + 1], (z1,), bound, prepend=False)
-                    for w in ws:
-                        for z in zs:
-                            slot.add((w, z))
-            # BB shape (ii): token starts in child li, ends in child ri.
-            # Two delta passes: fresh-left against full-right and vice versa.
-            for li in range(k):
-                if not any(fp[li]):
-                    continue
-                for p in range(1, n):
-                    for fresh_side in (0, 1):
-                        wls = lc_parts(body[li], p, fresh_only=fresh_side == 0)
-                        if not wls:
-                            continue
-                        wset = None
-                        for ri in range(li + 1, k):
-                            if not any(fs[ri + 1]):
-                                continue
-                            for q in seg_ends(pi, li + 1, ri, p):
-                                if q > n - 1:
-                                    continue
-                                zrs = rc_parts(body[ri], q, fresh_only=fresh_side == 1)
-                                if not zrs:
-                                    continue
-                                if wset is None:
-                                    wset = _join_fringe(fp[li], wls, bound, prepend=True)
-                                    if not wset:
-                                        break
-                                zset = _join_fringe(fs[ri + 1], zrs, bound, prepend=False)
-                                slot = bb_add.setdefault(head, set())
-                                for w in wset:
-                                    for z in zset:
-                                        slot.add((w, z))
-                            if wset is not None and not wset:
-                                break
+                for right in body[mi + 1 :]:
+                    groups = _extend_right(groups, starting[right], free[right], bound)
+                for left in reversed(body[:mi]):
+                    groups = _extend_left(groups, ending[left], free[left], bound)
+                slot = found.setdefault(head, {})
+                for end, starts in groups.items():
+                    slot.setdefault(end, set()).update(starts)
+        fresh = {}
+        for head, groups in found.items():
+            for end, starts in groups.items():
+                known = ending[head].setdefault(end, set())
+                new = starts - known
+                if new:
+                    known |= new
+                    fresh.setdefault(head, {})[end] = new
+                    for start in new:
+                        if isinstance(start, int):
+                            starting[head].setdefault(start, set()).add(end)
 
-        # Full straddles feed BB: X => w+token exactly, or X => token+z.
-        for nt in g.nonterminals:
-            fresh_w = lc_fresh[(nt, n)]
-            fresh_z = rc_fresh[(nt, 0)] if n >= 1 else set()
-            if fresh_w or fresh_z:
-                slot = bb_add.setdefault(nt, set())
-                slot.update((w, b"") for w in fresh_w)
-                slot.update((b"", z) for z in fresh_z)
-
-        progressed = False
-        for key2, add in lc_add.items():
-            new = add - lc[key2]
-            lc_fresh[key2] = new
-            if new:
-                lc[key2] |= new
-                progressed = True
-        for key2 in lc_fresh:
-            if key2 not in lc_add:
-                lc_fresh[key2] = set()
-        for key2, add in rc_add.items():
-            new = add - rc[key2]
-            rc_fresh[key2] = new
-            if new:
-                rc[key2] |= new
-                progressed = True
-        for key2 in rc_fresh:
-            if key2 not in rc_add:
-                rc_fresh[key2] = set()
-        for nt2, add in bb_add.items():
-            new = add - bb[nt2]
-            bb_fresh[nt2] = new
-            if new:
-                bb[nt2] |= new
-                progressed = True
-        for nt2 in bb_fresh:
-            if nt2 not in bb_add:
-                bb_fresh[nt2] = set()
-        first_round = False
-        if not progressed:
-            break
-
-    result = frozenset(bb[g.start])
+    result = frozenset(
+        (w, z)
+        for z, ws in ending[g.start].items()
+        for w in ws
+        if isinstance(w, bytes) and isinstance(z, bytes)
+    )
     cached[key] = result
     return result
 

@@ -3,8 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfgzip import (
+    Cfg,
+    EmptyLanguageError,
     FuzzConfig,
     OracleBoundError,
     build_stack_adjacency,
@@ -18,6 +22,7 @@ from cfgzip import (
     oracle_prefix,
     pda_accepts,
     to_gnf,
+    validate,
     viable_prefixes,
     viable_suffixes,
 )
@@ -85,27 +90,72 @@ def test_congruence_refutes_open_close():
     assert (oracle_membership(g, w + b"(" + z)) != (oracle_membership(g, w + b")" + z))
 
 
-def test_signature_matches_brute_force():
-    # The span DP against direct enumeration of every context pair.
-    g = suite_grammar("dyck1")
+def _brute_signature(g, t, bound):
     alpha = sorted(g.alphabet)
-    ctx = [bytes(p) for n in range(3) for p in itertools.product(alpha, repeat=n)]
-    for t in (b"(", b")", b"()", b"((", b"()(", b"", b"((("):
-        brute = frozenset(
-            (w, z) for w in ctx for z in ctx if oracle_membership(g, w + t + z)
-        )
-        assert context_signature(g, t, 2) == brute, t
+    ctx = [bytes(p) for n in range(bound + 1) for p in itertools.product(alpha, repeat=n)]
+    return frozenset((w, z) for w in ctx for z in ctx if oracle_membership(g, w + t + z))
 
 
-def test_signature_matches_brute_force_left_recursive():
-    g = suite_grammar("arith")
-    alpha = sorted(g.alphabet)
-    ctx = [bytes(p) for n in range(3) for p in itertools.product(alpha, repeat=n)]
-    for t in (b"n", b"+", b"n+n", b"(n)", b"nn", b"*("):
-        brute = frozenset(
-            (w, z) for w in ctx for z in ctx if oracle_membership(g, w + t + z)
-        )
-        assert context_signature(g, t, 2) == brute, t
+# Bound 1 on the two larger alphabets keeps direct enumeration cheap.
+BRUTE_FORCE_CASES = {
+    "dyck1": (2, (b"(", b")", b"()", b"((", b"()(", b"(((")),
+    "dyck2": (2, (b"[", b"(]", b"([", b"[]", b")(", b"([])")),
+    "arith": (2, (b"n", b"+", b"n+n", b"(n)", b"nn", b"*(")),
+    "json_mini": (1, (b'"', b"-1", b'a"', b"1,", b"{}", b'{"":1')),
+    "mini_c": (1, (b";", b"x=1", b"if(", b"{;", b"=y()", b"y=x*1;")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_FORCE_CASES))
+def test_signature_matches_brute_force(name):
+    # The segment fixpoint against direct enumeration of every context pair.
+    g = suite_grammar(name)
+    bound, tokens = BRUTE_FORCE_CASES[name]
+    for t in (b"",) + tokens:
+        assert context_signature(g, t, bound) == _brute_signature(g, t, bound), t
+
+
+@st.composite
+def small_grammars(draw):
+    # Up to four nonterminals over up to three bytes.  Each nonterminal
+    # gets one to three bodies, each free, left-recursive, unit or
+    # epsilon; later nonterminals come first so they stay reachable.
+    names = [f"n{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
+    alphabet = list(b"abc"[: draw(st.sampled_from([1, 2, 3]))])
+    symbol = st.sampled_from(alphabet + names[::-1])
+    shapes = st.sampled_from(["free", "left", "unit", "eps"])
+    productions = []
+    for head in names:
+        for shape in draw(st.lists(shapes, min_size=1, max_size=3)):
+            if shape == "free":
+                body = tuple(draw(st.lists(symbol, min_size=1, max_size=3)))
+            elif shape == "left":
+                body = (head,) + tuple(draw(st.lists(symbol, min_size=1, max_size=2)))
+            elif shape == "unit":
+                body = (draw(st.sampled_from(names[::-1])),)
+            else:
+                body = ()
+            productions.append((head, body))
+    g = Cfg(tuple(names), frozenset(alphabet), tuple(productions), names[0])
+    try:
+        g = validate(g)
+    except EmptyLanguageError:
+        assume(False)
+    # Tokens are random strings or infixes of words up to five bytes; the
+    # infixes are the ones likely to have non-empty signatures.
+    words = bounded_language(g, 5)
+    infixes = sorted({w[i:j] for w in words for i in range(len(w)) for j in range(i + 1, i + 4)})
+    tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(bytes)
+    if infixes:
+        tokens = st.one_of(tokens, st.sampled_from(infixes))
+    return g, draw(tokens)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(small_grammars())
+def test_signature_matches_brute_force_on_random_grammars(case):
+    g, t = case
+    assert context_signature(g, t, 2) == _brute_signature(g, t, 2)
 
 
 def test_left_quotient_formulation():
