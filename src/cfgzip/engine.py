@@ -26,8 +26,14 @@ skipped items back, so state digests cover the full Earley item set.
 The naive mask checks every vocabulary token with a trial advance.  The
 compressed mask tries the class representatives only, which is the
 entire speedup: it walks a byte trie of the representatives depth-first
-over one chart, so representatives sharing a prefix share its frontiers
-and each accepted prefix is closed once.  End-of-sequence is modelled as
+over one chart, so representatives sharing a prefix share its frontiers.
+Bytes that scan to the same seeds from one frontier also share one close,
+where a seed that completes its production counts only as its head and
+origin.  That is exact: the closure reads a complete seed through nothing
+else, a scanned seed never starts a Leo chain, and the frontiers so
+merged differ only in their own seed items, which no later step reads.
+Inside a JSON string every plain byte completes ``char ::= "x"`` for its
+own ``x``, so one close serves them all.  End-of-sequence is modelled as
 a special token whose bit equals state completeness; other specials are
 always blocked.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,16 +60,19 @@ class _Prediction:
 
     ``scan_map`` and ``wait_map`` hold the pairs already advanced over the
     byte or nonterminal they are keyed by; ``complete`` says whether an
-    item of the start symbol is complete at zero width.
+    item of the start symbol is complete at zero width.  ``scan_key`` holds
+    each byte's pairs in the form the trie walk keys its closes on: a
+    complete pair as its head, any other as it is.
     """
 
-    __slots__ = ("items", "scan_map", "wait_map", "complete")
+    __slots__ = ("items", "scan_map", "wait_map", "complete", "scan_key")
 
-    def __init__(self, items, scan_map, wait_map, complete):
+    def __init__(self, items, scan_map, wait_map, complete, scan_key):
         self.items = items
         self.scan_map = scan_map
         self.wait_map = wait_map
         self.complete = complete
+        self.scan_key = scan_key
 
 
 class _Frontier:
@@ -183,11 +193,18 @@ class _EngineGrammar:
                 else:
                     items.append((pid, len(body)))
                     complete = complete or nt == self.start
+        heads, bodies = self.heads, self.bodies
         return _Prediction(
             tuple(items),
             {b: tuple(v) for b, v in scan.items()},
             {nt: tuple(v) for nt, v in wait.items()},
             complete,
+            {
+                b: frozenset(
+                    [heads[pid] if dot == len(bodies[pid]) else (pid, dot) for pid, dot in v]
+                )
+                for b, v in scan.items()
+            },
         )
 
     def close(self, chart, seeds, pos: int) -> _Frontier:
@@ -309,6 +326,17 @@ class _EngineGrammar:
             memo[head] = link
         return link
 
+    def seed_key(self, seeds) -> frozenset:
+        """Carried seeds in the form the trie walk keys its closes on: a
+        complete seed as ``(head, origin)``, any other as it is."""
+        heads, bodies = self.heads, self.bodies
+        return frozenset(
+            [
+                (heads[pid], org) if dot == len(bodies[pid]) else (pid, dot, org)
+                for pid, dot, org in seeds
+            ]
+        )
+
     def rep_trie(self, tbl: ClassTable, vocab: Vocabulary):
         """The byte trie of the non-pass-through class representatives, as
         nested ``(classes ending here, {byte: child})`` nodes.  The last
@@ -330,14 +358,10 @@ class _EngineGrammar:
 
 _UNSET = object()
 
-_engines: dict[Cfg, _EngineGrammar] = {}
 
-
+@lru_cache(maxsize=32)
 def _engine_for(g: Cfg) -> _EngineGrammar:
-    got = _engines.get(g)
-    if got is None:
-        got = _engines[g] = _EngineGrammar(g)
-    return got
+    return _EngineGrammar(g)
 
 
 @dataclass
@@ -433,19 +457,30 @@ def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) 
     vocabulary size.
 
     The representatives are tried in one depth-first walk over their byte
-    trie, so each accepted prefix is scanned once, and closed once if a
-    longer representative extends it.  A representative is accepted iff
-    every byte of it scans, exactly as in ``try_advance``.
+    trie, so each accepted prefix is scanned once.  A representative is
+    accepted iff every byte of it scans, exactly as in ``try_advance``.  An
+    accepted inner prefix needs the frontier closed after it, and bytes
+    that scan to the same seeds from one frontier share that close, with a
+    complete seed counted only as its head and origin.  This is exact:
+    ``close`` reads a complete seed through nothing else, a scanned seed
+    never starts a Leo chain, and the shared frontier differs only in seed
+    items, which nothing reads after the walk.
     """
     bits = np.zeros(tbl.class_count, dtype=bool)
     if vocab.eos_id is not None:
         eos_class = int(tbl.c[vocab.eos_id])
         if eos_class in tbl.passthrough:
             bits[eos_class] = s.complete
-    ends, children = s.eg.rep_trie(tbl, vocab)
+    eg = s.eg
+    ends, children = eg.rep_trie(tbl, vocab)
     accepted = list(ends)  # empty representatives: ``try_advance(s, b"")`` is ``s``
-    close = s.eg.close
+    close, seed_key = eg.close, eg.seed_key
     chart = list(s.chart)
+    # Closes so far, keyed by the parent frontier object (the key holds it,
+    # so no id is reused) and the seeds' shared form.  A frontier of the
+    # walk has one chain of prefix frontiers, so the parent fixes every
+    # origin the close can reach.
+    closed: dict[tuple, _Frontier] = {}
     # Depth-first: an entry's frontier sits at chart[pos], and everything
     # popped after it was pushed lies at chart[pos:] and deeper, so
     # chart[:pos] still holds the frontiers of its prefix when it is popped.
@@ -454,12 +489,18 @@ def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) 
         pos, frontier, children = todo.pop()
         del chart[pos:]
         chart.append(frontier)
+        own, pred = frontier.scan_map, frontier.pred
         for b, (ends, sub) in children.items():
-            seeds = frontier.scan(b)
-            if seeds:
-                accepted.extend(ends)
-                if sub:
-                    todo.append((pos + 1, close(chart, seeds, pos + 1), sub))
+            if b not in own and b not in pred.scan_map:
+                continue
+            accepted.extend(ends)
+            if sub:
+                mine = own.get(b)
+                key = (frontier, seed_key(mine) if mine else None, pred.scan_key.get(b))
+                nxt = closed.get(key)
+                if nxt is None:
+                    nxt = closed[key] = close(chart, frontier.scan(b), pos + 1)
+                todo.append((pos + 1, nxt, sub))
     bits[accepted] = True
     return Mask(bits, "classes")
 

@@ -19,6 +19,8 @@ the recognizer rather than computed from it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .grammar import Cfg, nullable_set, validate
 
 DEFAULT_WORD_BOUND = 16
@@ -252,14 +254,9 @@ class Oracle:
         return (g.start, 0) in part
 
 
-_oracles: dict[Cfg, Oracle] = {}
-
-
+@lru_cache(maxsize=32)
 def _oracle_for(g: Cfg) -> Oracle:
-    got = _oracles.get(g)
-    if got is None:
-        got = _oracles[g] = Oracle(g)
-    return got
+    return Oracle(g)
 
 
 def oracle_membership(g: Cfg, w: bytes, bound: int | None = None) -> bool:

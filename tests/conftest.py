@@ -19,8 +19,10 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from cfgzip import Cfg, Vocabulary, parse_grammar, validate
+from cfgzip import Cfg, EmptyLanguageError, Vocabulary, parse_grammar, validate
 
 DYCK1 = 'root ::= "(" root ")" root | ""'
 
@@ -113,6 +115,42 @@ def grammars() -> dict[str, Cfg]:
 @pytest.fixture(scope="session", params=sorted(GRAMMARS))
 def grammar_name(request) -> str:
     return request.param
+
+
+@st.composite
+def random_grammars(draw, shapes):
+    """A random validated grammar and the alphabet drawn for it.
+
+    Up to four nonterminals over up to three bytes.  Each nonterminal gets
+    one to three bodies, each of a shape from ``shapes``: free,
+    left-recursive, right-recursive, a single byte, unit or epsilon.
+    Later nonterminals come first so they stay reachable.
+    """
+    names = [f"n{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
+    alphabet = list(b"abc"[: draw(st.sampled_from([1, 2, 3]))])
+    symbol = st.sampled_from(alphabet + names[::-1])
+    productions = []
+    for head in names:
+        for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3)):
+            if shape == "free":
+                body = tuple(draw(st.lists(symbol, min_size=1, max_size=3)))
+            elif shape == "left":
+                body = (head,) + tuple(draw(st.lists(symbol, min_size=1, max_size=2)))
+            elif shape == "right":
+                body = tuple(draw(st.lists(symbol, min_size=1, max_size=2))) + (head,)
+            elif shape == "byte":
+                body = (draw(st.sampled_from(alphabet)),)
+            elif shape == "unit":
+                body = (draw(st.sampled_from(names[::-1])),)
+            else:
+                body = ()
+            productions.append((head, body))
+    g = Cfg(tuple(names), frozenset(alphabet), tuple(productions), names[0])
+    try:
+        g = validate(g)
+    except EmptyLanguageError:
+        assume(False)
+    return g, alphabet
 
 
 def figure_grammar():

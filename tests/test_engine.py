@@ -1,6 +1,7 @@
 """The incremental recognizer and its two mask paths."""
 
 import hashlib
+import itertools
 from collections import Counter
 from functools import lru_cache
 
@@ -13,6 +14,8 @@ from cfgzip import (
     ClassTable,
     EmptyLanguageError,
     FuzzConfig,
+    GnfSizeError,
+    GrammarError,
     MaskedTokenError,
     Vocabulary,
     build_class_table,
@@ -36,6 +39,7 @@ from conftest import (
     GRAMMARS,
     counting_closes,
     earley_item_sets,
+    random_grammars,
     suite_grammar,
     suite_vocabulary,
 )
@@ -394,25 +398,160 @@ def test_trie_mask_equals_per_representative_trials(drawn):
     )
 
 
-@pytest.mark.parametrize("prefix", [b"", b"[", b'{"ab', b'["a",', b'{"a":1'])
-def test_trie_walk_closes_each_accepted_inner_prefix_once(prefix):
-    # A frontier is closed once per accepted prefix that a longer
-    # representative extends, and for no other prefix: a representative's
-    # last byte only has to scan.
+def shared_form(g, items):
+    """Items up to which production a complete scanned item finished: such
+    an item becomes ``(head, origin)``, any other stays as it is."""
+    out = set()
+    for pid, dot, org in items:
+        head, body = g.productions[pid]
+        if dot == len(body) and isinstance(body[-1], int):
+            out.add((head, org))
+        else:
+            out.add((pid, dot, org))
+    return frozenset(out)
+
+
+WALK_PREFIXES = [b"", b"[", b'{"ab', b'["a",', b'{"a":1']
+
+
+@pytest.mark.parametrize("table", ["classes", "singletons"])
+@pytest.mark.parametrize("prefix", WALK_PREFIXES)
+def test_trie_walk_shares_closes_among_equal_seed_chains(prefix, table):
+    # The walk closes a frontier once per accepted prefix that a longer
+    # representative extends, except that prefixes whose every byte scanned
+    # to the same seeds, up to which production a complete seed finished,
+    # share one close.  The reference groups the accepted inner prefixes by
+    # that chain of seeds, read from each prefix's full Earley item set:
+    # the scanned items are those whose dot follows a byte.
     g, vocab, tbl = suite_pipeline("json_mini")
+    if table == "singletons":
+        tbl = singleton_table(vocab)
     s = try_advance(new_state(g), prefix)
     assert s is not None
     reps = {vocab.tokens[int(r)] for k, r in enumerate(tbl.r) if k not in tbl.passthrough}
     inner = {rep[:i] for rep in reps for i in range(1, len(rep))}
-    want = Counter()
-    for p in inner:
+    chains, frontiers = {}, {}
+    for p in sorted(inner, key=len):
         t = try_advance(s, p)
-        if t is not None:
-            want[(t.chart[-1].pos, frozenset(t.chart[-1].items))] += 1
+        if t is None:
+            continue
+        scanned = {
+            (pid, dot, org)
+            for pid, dot, org in t.item_set()
+            if dot and isinstance(g.productions[pid][1][dot - 1], int)
+        }
+        chains[p] = chains.get(p[:-1], ()) + (shared_form(g, scanned),)
+        # Equal chains close equal frontiers: the sharing rule is exact.
+        frontier = (t.chart[-1].pos, shared_form(g, t.chart[-1].items))
+        assert frontiers.setdefault(chains[p], frontier) == frontier
+    want = Counter(frontiers.values())
     assert want
     with counting_closes() as closed:
         compute_mask_compressed(s, tbl, vocab)
-    assert closed == want
+    got = Counter()
+    for (pos, items), n in closed.items():
+        got[(pos, shared_form(g, items))] += n
+    assert got == want
+
+
+def test_trie_walk_shares_closes_inside_a_string():
+    # Every plain byte in a string completes ``char``, so the walk closes
+    # fewer frontiers than there are accepted inner prefixes.  One token per
+    # class keeps both string bytes apart in the trie.
+    g, vocab, _ = suite_pipeline("json_mini")
+    tbl = singleton_table(vocab)
+    s = try_advance(new_state(g), b'{"ab')
+    reps = {vocab.tokens[int(r)] for k, r in enumerate(tbl.r) if k not in tbl.passthrough}
+    inner = {rep[:i] for rep in reps for i in range(1, len(rep))}
+    accepted = [p for p in inner if try_advance(s, p) is not None]
+    with counting_closes() as closed:
+        compute_mask_compressed(s, tbl, vocab)
+    assert 0 < sum(closed.values()) < len(accepted)
+
+
+def short_string_vocabulary(alphabet):
+    """Every string of one to four bytes over ``alphabet``, plus EOS."""
+    tokens = [bytes(p) for n in range(1, 5) for p in itertools.product(sorted(alphabet), repeat=n)]
+    eos = len(tokens)
+    tokens.append(b"</s>")
+    return Vocabulary(tokens=tuple(tokens), specials=frozenset({eos}), eos_id=eos)
+
+
+@st.composite
+def random_grammar_walks(draw):
+    g, alphabet = draw(random_grammars(("free", "left", "right", "byte", "unit", "eps")))
+    return g, alphabet, draw(st.lists(st.sampled_from(alphabet), max_size=6))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(random_grammar_walks())
+def test_trie_walk_equals_naive_mask_on_random_grammars(case):
+    # Different bytes complete different heads here, so shared closes are
+    # tried where seeds differ; right-recursive bodies add Leo chains.
+    g, alphabet, walk = case
+    vocab = short_string_vocabulary(alphabet)
+    single = singleton_table(vocab)
+    # Small caps keep each compile cheap: a few random grammars inflate to
+    # 50k GNF productions, and a sweep under the default node budget can
+    # take gigabytes.  Over-budget tokens get singleton classes.
+    try:
+        gnf = to_gnf(g, max_productions=400)
+    except (GrammarError, GnfSizeError):
+        tbl = None
+    else:
+        adj = build_stack_adjacency(gnf)
+        sweep = compute_all_displacements(vocab.tokens, gnf, adj, budget=10_000)
+        tbl = build_class_table(vocab, sweep.displacements)
+    s = new_state(g)
+    for b in [None, *walk]:
+        if b is not None:
+            s = try_advance(s, bytes([b])) or s
+        assert np.array_equal(
+            compute_mask_compressed(s, single, vocab).bits, compute_mask_naive(s, vocab).bits
+        )
+        if tbl is not None:
+            assert np.array_equal(
+                compute_mask_compressed(s, tbl, vocab).bits, per_rep_mask(s, tbl, vocab)
+            )
+
+
+def test_grammar_keyed_caches_stay_bounded():
+    # The engine and oracle caches keep at most their bound of grammars,
+    # however many grammars a process queries (the random-grammar
+    # properties query hundreds).
+    from cfgzip.engine import _engine_for
+    from cfgzip.oracle import _oracle_for
+
+    for n in range(1, 41):
+        g = validate(parse_grammar(f'root ::= "{"a" * n}"'))
+        assert new_state(g) is not None and oracle_membership(g, b"a" * n, bound=64)
+    for cached in (_engine_for, _oracle_for):
+        info = cached.cache_info()
+        assert info.maxsize == 32 and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize(
+    "text,prefix",
+    [
+        # After "s", "a" completes p and "b" completes q, both at origin 0.
+        ('root ::= p "x" | q "y"\np ::= "s" "a"\nq ::= "s" "b"', b"s"),
+        # After "ss", "b" completes a at origin 0 and "a" completes it at 1.
+        ('root ::= a "y" | "s" a "x"\na ::= "s" "a" | "s" "s" "b"', b"ss"),
+    ],
+    ids=["heads", "origins"],
+)
+def test_trie_walk_keeps_carried_completions_apart(text, prefix):
+    # Bytes whose carried seeds complete different heads, or one head at
+    # different origins, must not share a close: only "ax" and "by" pass.
+    g = validate(parse_grammar(text))
+    vocab = short_string_vocabulary(g.alphabet)
+    s = try_advance(new_state(g), prefix)
+    assert np.array_equal(
+        compute_mask_compressed(s, singleton_table(vocab), vocab).bits,
+        compute_mask_naive(s, vocab).bits,
+    )
+    assert try_advance(s, b"ax") and try_advance(s, b"by")
+    assert not try_advance(s, b"ay") and not try_advance(s, b"bx")
 
 
 def reference_digest(consumed, items):

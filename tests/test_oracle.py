@@ -3,12 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgzip import (
-    Cfg,
-    EmptyLanguageError,
     FuzzConfig,
     OracleBoundError,
     build_stack_adjacency,
@@ -22,13 +20,12 @@ from cfgzip import (
     oracle_prefix,
     pda_accepts,
     to_gnf,
-    validate,
     viable_prefixes,
     viable_suffixes,
 )
 from cfgzip.oracle import bounded_language
 
-from conftest import suite_grammar, suite_vocabulary
+from conftest import random_grammars, suite_grammar, suite_vocabulary
 
 
 def test_membership_basics():
@@ -117,30 +114,7 @@ def test_signature_matches_brute_force(name):
 
 @st.composite
 def small_grammars(draw):
-    # Up to four nonterminals over up to three bytes.  Each nonterminal
-    # gets one to three bodies, each free, left-recursive, unit or
-    # epsilon; later nonterminals come first so they stay reachable.
-    names = [f"n{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
-    alphabet = list(b"abc"[: draw(st.sampled_from([1, 2, 3]))])
-    symbol = st.sampled_from(alphabet + names[::-1])
-    shapes = st.sampled_from(["free", "left", "unit", "eps"])
-    productions = []
-    for head in names:
-        for shape in draw(st.lists(shapes, min_size=1, max_size=3)):
-            if shape == "free":
-                body = tuple(draw(st.lists(symbol, min_size=1, max_size=3)))
-            elif shape == "left":
-                body = (head,) + tuple(draw(st.lists(symbol, min_size=1, max_size=2)))
-            elif shape == "unit":
-                body = (draw(st.sampled_from(names[::-1])),)
-            else:
-                body = ()
-            productions.append((head, body))
-    g = Cfg(tuple(names), frozenset(alphabet), tuple(productions), names[0])
-    try:
-        g = validate(g)
-    except EmptyLanguageError:
-        assume(False)
+    g, alphabet = draw(random_grammars(("free", "left", "unit", "eps")))
     # Tokens are random strings or infixes of words up to five bytes; the
     # infixes are the ones likely to have non-empty signatures.
     words = bounded_language(g, 5)
