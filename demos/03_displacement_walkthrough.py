@@ -44,6 +44,6 @@ print("\ndisplacement:", d.sorted_pairs())
 # The adjacency relation prunes backtrack hypotheses.  For this fragment,
 # only B-before-C and Z-before-J are admissible pop pairs:
 h = build_rightmost_graph(toy)
-adj = build_stack_adjacency(toy, h)
+adj = build_stack_adjacency(toy)
 print("rightmost graph edges:", {k: sorted(v) for k, v in h.edges.items()})
 print("stack adjacency:", adj.sorted_pairs())

@@ -61,15 +61,14 @@ def build_rightmost_graph(g: GnfGrammar) -> RightmostGraph:
     )
 
 
-def build_stack_adjacency(g: GnfGrammar, h: RightmostGraph | None = None) -> StackAdjacency:
+def build_stack_adjacency(g: GnfGrammar) -> StackAdjacency:
     """Pairs (Y, Z) such that Y can be popped immediately before Z.
 
     For every production tail position holding Z with a predecessor B, all
     symbols reachable from B in the rightmost graph (including B itself:
     an empty descent) that own a unary production are paired with Z.
     """
-    if h is None:
-        h = build_rightmost_graph(g)
+    h = build_rightmost_graph(g)
     unary_heads = {head for head, _, tail in g.productions if not tail}
 
     reach_memo: dict[str, frozenset[str]] = {}

@@ -118,7 +118,6 @@ class ClassTable:
     grammar_digest: bytes
     vocab_digest: bytes
     passthrough: frozenset[int] = frozenset()
-    version: int = CACHE_VERSION
 
     def __post_init__(self):
         if len(self.r) != self.class_count:
@@ -130,8 +129,7 @@ class ClassTable:
         if not isinstance(other, ClassTable):
             return NotImplemented
         return (
-            self.version == other.version
-            and self.class_count == other.class_count
+            self.class_count == other.class_count
             and self.grammar_digest == other.grammar_digest
             and self.vocab_digest == other.vocab_digest
             and self.passthrough == other.passthrough
@@ -220,7 +218,7 @@ def save_cache(tbl: ClassTable, path) -> None:
     body = bytearray()
     body += _HEADER.pack(
         CACHE_MAGIC,
-        tbl.version,
+        CACHE_VERSION,
         tbl.grammar_digest,
         tbl.vocab_digest,
         tbl.token_count,
@@ -281,7 +279,6 @@ def load_cache(
         grammar_digest=gdig,
         vocab_digest=vdig,
         passthrough=frozenset(int(x) for x in pt),
-        version=version,
     )
 
 

@@ -369,13 +369,19 @@ class EngineState:
     """A viable recognizer state: the consumed bytes form a valid prefix.
 
     Treated as immutable; advancing returns a fresh state sharing all
-    earlier frontiers.
+    earlier frontiers.  ``consumed`` and ``complete`` are read off the chart.
     """
 
     eg: _EngineGrammar
     chart: tuple
-    consumed: int
-    complete: bool
+
+    @property
+    def consumed(self) -> int:
+        return len(self.chart) - 1
+
+    @property
+    def complete(self) -> bool:
+        return self.chart[-1].complete
 
     def item_set(self) -> set[tuple[int, int, int]]:
         """The full Earley item set at the last position, as (production
@@ -408,7 +414,7 @@ def new_state(g: Cfg) -> EngineState:
     eg = _engine_for(g)  # validate() inside raises EmptyLanguageError
     pred = eg.prediction(frozenset((eg.start,)))
     frontier = _Frontier(0, frozenset(), {}, {}, pred, pred.complete)
-    return EngineState(eg, (frontier,), 0, frontier.complete)
+    return EngineState(eg, (frontier,))
 
 
 def try_advance(s: EngineState, data: bytes) -> EngineState | None:
@@ -425,7 +431,7 @@ def try_advance(s: EngineState, data: bytes) -> EngineState | None:
         if not seeds:
             return None
         chart.append(s.eg.close(chart, seeds, len(chart)))
-    return EngineState(s.eg, tuple(chart), s.consumed + len(data), chart[-1].complete)
+    return EngineState(s.eg, tuple(chart))
 
 
 @dataclass

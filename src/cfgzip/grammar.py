@@ -62,12 +62,6 @@ class Cfg:
     productions: tuple[tuple[str, tuple[int | str, ...]], ...]
     start: str
 
-    def nt_id(self, name: str) -> int:
-        return self.nonterminals.index(name)
-
-    def bodies(self, head: str) -> tuple[tuple[int | str, ...], ...]:
-        return tuple(b for h, b in self.productions if h == head)
-
     def __post_init__(self):
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")

@@ -6,6 +6,10 @@ the prefix computation is a span DP over the original productions driven
 by that chart.  The engine must never be able to agree with these
 oracles simply by sharing their bugs.
 
+One enumerator lists the strings of at most ``n`` bytes each symbol
+derives; ``bounded_language`` and the signatures read it, and it raises
+OracleBoundError rather than hold more than ``YIELD_LIMIT`` strings.
+
 Congruence checking is exact up to the context bound: two strings are
 reported congruent iff no pair of contexts ``(w, z)`` with both sides at
 most ``bound`` bytes long distinguishes them.  A token's signature, the
@@ -13,8 +17,9 @@ set of contexts accepting it, is one fixpoint over the original
 productions: each symbol derives free strings of at most ``bound`` bytes
 and segments anchored on the token (``w + t[:j]``, ``t[i:j]``,
 ``t[i:] + z`` and ``w + t + z``), and segments join only where they meet
-inside the token.  It never reads the CYK chart, so it is checked against
-the recognizer rather than computed from it.
+inside the token.  The empty token's contexts are the splits of the words
+of at most ``2 * bound`` bytes.  Neither reads the CYK chart, so both are
+checked against the recognizer rather than computed from it.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from functools import lru_cache
 from .grammar import Cfg, nullable_set, validate
 
 DEFAULT_WORD_BOUND = 16
+# The most strings the yield enumerator holds in one set or in its whole table.
+YIELD_LIMIT = 2_000_000
 
 
 class OracleBoundError(ValueError):
-    """The queried string exceeds the oracle's configured length bound."""
+    """The queried string is longer than the bound, or the grammar derives
+    more than ``YIELD_LIMIT`` strings within it."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +165,15 @@ class _Cnf:
 class Oracle:
     """Membership and prefix oracle for one grammar, with chart caching."""
 
-    def __init__(self, g: Cfg, word_bound: int = DEFAULT_WORD_BOUND):
+    def __init__(self, g: Cfg):
         self.cnf = _Cnf(g)
         self.grammar = self.cnf.grammar
         self.nullable = self.cnf.nullable
-        self.word_bound = word_bound
         self._charts: dict[bytes, list[list[int]]] = {}
         # context_signature's results, keyed by (token, bound), and the
-        # free yields it extends contexts with, keyed by bound.
+        # yield tables it reads, keyed by their length bound.
         self._signatures: dict[tuple[bytes, int], frozenset] = {}
-        self._free: dict[int, dict[str | int, tuple[tuple[bytes, ...], ...]]] = {}
+        self._free: dict[int, dict[str | int, list[set[bytes]]]] = {}
 
     def _chart(self, w: bytes) -> list[list[int]]:
         got = self._charts.get(w)
@@ -177,7 +184,7 @@ class Oracle:
         return got
 
     def _check_bound(self, w: bytes, bound: int | None):
-        limit = self.word_bound if bound is None else bound
+        limit = DEFAULT_WORD_BOUND if bound is None else bound
         if len(w) > limit:
             raise OracleBoundError(
                 f"string of {len(w)} bytes exceeds the oracle bound of {limit}"
@@ -290,101 +297,93 @@ def viable_prefixes(g: Cfg, max_len: int) -> list[bytes]:
     return out
 
 
-def _reversed_grammar(g: Cfg) -> Cfg:
-    return Cfg(
-        nonterminals=g.nonterminals,
-        alphabet=g.alphabet,
-        productions=tuple((h, body[::-1]) for h, body in g.productions),
-        start=g.start,
-    )
-
-
 def viable_suffixes(g: Cfg, max_len: int) -> list[bytes]:
-    """All strings up to ``max_len`` bytes that end some word of the language."""
-    rev = _reversed_grammar(validate(g))
+    """All strings up to ``max_len`` bytes that end some word of the language:
+    the viable prefixes of the grammar with every body reversed, reversed."""
+    g = validate(g)
+    rev = Cfg(g.nonterminals, g.alphabet, tuple((h, b[::-1]) for h, b in g.productions), g.start)
     return [w[::-1] for w in viable_prefixes(rev, max_len)]
 
 
-def bounded_language(g: Cfg, max_len: int) -> frozenset[bytes]:
-    """Every word of the language up to ``max_len`` bytes, by derivation
-    closure over the productions.  Exhaustive by construction: a string is
-    in the result iff the start symbol derives it.
+def _yields(g: Cfg, max_len: int) -> dict[str | int, list[set[bytes]]]:
+    """Every string of at most ``max_len`` bytes each symbol (terminals
+    included) derives: ``table[sym][n]`` holds its yields of ``n`` bytes.
 
-    Stratified by length so each word is assembled once: level ``n`` only
+    Stratified by length so each string is assembled once: level ``n`` only
     combines pieces whose lengths sum to ``n``, with an inner fixpoint for
-    same-length dependencies (epsilon and unit-style chains).
+    same-length dependencies (epsilon and unit-style chains).  Strings of
+    fixed lengths concatenate injectively, so a product's size is known
+    before it is built, and OracleBoundError is raised before any set or
+    the whole table would hold more than ``YIELD_LIMIT`` strings.
     """
-    g = validate(g)
-    words: dict[str, list[set[bytes]]] = {
-        nt: [set() for _ in range(max_len + 1)] for nt in g.nonterminals
+    table: dict[str | int, list[set[bytes]]] = {
+        sym: [set() for _ in range(max_len + 1)] for sym in (*g.nonterminals, *g.alphabet)
     }
+    if max_len:
+        for b in g.alphabet:
+            table[b][1].add(bytes([b]))
+    total = 0
+    too_many = (
+        f"the grammar derives more than {YIELD_LIMIT:,} strings of at most "
+        f"{max_len} bytes, too many to enumerate; lower the bound"
+    )
 
     def compose(body, target: int) -> set[bytes]:
-        # All concatenations of per-symbol yields with lengths summing to target.
+        # All concatenations of per-symbol yields with lengths summing to
+        # target; the last symbol takes exactly the remaining length.
         acc: dict[int, set[bytes]] = {0: {b""}}
-        for sym in body:
+        for k, sym in enumerate(body):
+            last = k == len(body) - 1
             nxt: dict[int, set[bytes]] = {}
             for done, parts in acc.items():
-                if isinstance(sym, int):
-                    options = [(1, (bytes([sym]),))] if done + 1 <= target else []
-                else:
-                    options = [
-                        (ln, words[sym][ln])
-                        for ln in range(0, target - done + 1)
-                        if words[sym][ln]
-                    ]
-                for ln, pieces in options:
+                for ln in range(target - done if last else 0, target - done + 1):
+                    pieces = table[sym][ln]
+                    if not pieces:
+                        continue
                     slot = nxt.setdefault(done + ln, set())
-                    for a in parts:
-                        for b in pieces:
-                            slot.add(a + b)
+                    if len(slot) + len(parts) * len(pieces) > YIELD_LIMIT:
+                        raise OracleBoundError(too_many)
+                    slot.update(a + b for a in parts for b in pieces)
             acc = nxt
             if not acc:
                 break
         return acc.get(target, set())
 
     for n in range(max_len + 1):
-        changed = True
-        while changed:
-            changed = False
-            for head, body in g.productions:
-                got = compose(body, n)
-                new = got - words[head][n]
+        todo = g.productions
+        while todo:
+            changed = set()
+            for head, body in todo:
+                new = compose(body, n) - table[head][n]
                 if new:
-                    words[head][n] |= new
-                    changed = True
-    return frozenset(w for bucket in words[g.start] for w in bucket)
+                    total += len(new)
+                    if total > YIELD_LIMIT:
+                        raise OracleBoundError(too_many)
+                    table[head][n] |= new
+                    changed.add(head)
+            # Shorter yields are final, so a body gains n-byte strings again
+            # only through a symbol that just did, all others deriving b"".
+            todo = []
+            for head, body in g.productions:
+                solid = [sym for sym in body if not table[sym][0]]
+                if len(solid) < 2 and changed.intersection(solid or body):
+                    todo.append((head, body))
+    return table
+
+
+def bounded_language(g: Cfg, max_len: int) -> frozenset[bytes]:
+    """Every word of the language up to ``max_len`` bytes, by derivation
+    closure over the productions.  Exhaustive by construction: a string is
+    in the result iff the start symbol derives it."""
+    g = validate(g)
+    return frozenset(w for bucket in _yields(g, max_len)[g.start] for w in bucket)
 
 
 # ---------------------------------------------------------------------------
 # Bounded-context signatures (the congruence oracle)
 
 
-def _free_yields(g: Cfg, bound: int) -> dict[str | int, tuple[tuple[bytes, ...], ...]]:
-    """Every string of at most ``bound`` bytes each symbol derives, bucketed
-    by length (bucket 0 holds ``b""`` iff the symbol is nullable)."""
-    free: dict[str | int, set[bytes]] = {nt: set() for nt in g.nonterminals}
-    free.update((b, {bytes([b])}) for b in g.alphabet)
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            acc = {b""}
-            for sym in body:
-                acc = {a + b for a in acc for b in free[sym] if len(a) + len(b) <= bound}
-                if not acc:
-                    break
-            new = acc - free[head]
-            if new:
-                free[head] |= new
-                changed = True
-    return {
-        sym: tuple(tuple(s for s in strings if len(s) == k) for k in range(bound + 1))
-        for sym, strings in free.items()
-    }
-
-
-def _extend_right(groups: dict, starting: dict, free: tuple, bound: int) -> dict:
+def _extend_right(groups: dict, starting: dict, free: list, bound: int) -> dict:
     """Segments ``{end: starts}`` followed by one more symbol: an end inside
     the token joins the symbol's segments starting there (``starting``:
     ``{start: ends}``), a trailing context ``z`` grows by the symbol's free
@@ -403,7 +402,7 @@ def _extend_right(groups: dict, starting: dict, free: tuple, bound: int) -> dict
     return out
 
 
-def _extend_left(groups: dict, ending: dict, free: tuple, bound: int) -> dict:
+def _extend_left(groups: dict, ending: dict, free: list, bound: int) -> dict:
     """Segments ``{end: starts}`` preceded by one more symbol, the mirror of
     ``_extend_right`` (``ending``: the symbol's ``{end: starts}``)."""
     out: dict = {}
@@ -444,8 +443,11 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
     ``(i, z)`` is ``token[i:] + z`` and ``(w, z)`` is ``w + token + z``;
     the start symbol's ``(w, z)`` segments are the signature.  Segments
     join where an end and a start name the same position, and context
-    strings grow by the free yields of their neighbours.  The CYK chart is
-    never read, so the signature is independent of the recognizer it is
+    strings grow by the free yields of their neighbours.
+
+    The empty token's signature splits the words of at most ``2 * bound``
+    bytes every way that leaves both sides within the bound.  The CYK chart
+    is never read, so the signature is independent of the recognizer it is
     checked against.
     """
     oracle = _oracle_for(g)
@@ -455,21 +457,21 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
     if key in cached:
         return cached[key]
 
+    length = bound if token else 2 * bound
+    free = oracle._free.get(length)
+    if free is None:
+        free = oracle._free[length] = _yields(g, length)
     if not token:
-        # Pure-context pairs: w + z must be a word.
-        sig = set()
-        for w in viable_prefixes(g, bound):
-            for z in viable_suffixes(g, bound):
-                if oracle.membership(w + z):
-                    sig.add((w, z))
-        result = frozenset(sig)
+        result = frozenset(
+            (x[:i], x[i:])
+            for n, words in enumerate(free[g.start])
+            for x in words
+            for i in range(max(0, n - bound), min(n, bound) + 1)
+        )
         cached[key] = result
         return result
 
     n = len(token)
-    free = oracle._free.get(bound)
-    if free is None:
-        free = oracle._free[bound] = _free_yields(g, bound)
     # Each symbol's segments as {end: starts}; those starting inside the
     # token also as {start: ends}.
     ending: dict = {sym: {} for sym in free}

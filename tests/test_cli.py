@@ -4,10 +4,12 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from cfgzip import Vocabulary
 from cfgzip.cli import build_parser, main
 
 from conftest import GRAMMARS, rewrite_cache_id, suite_vocabulary
@@ -157,6 +159,30 @@ def test_verify_stale_cache_fails(dyck1_files, tmp_path, capsys):
     rc = run_cli("verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache)
     assert rc == 1
     assert "different vocabulary" in capsys.readouterr().err
+
+
+def test_verify_fails_fast_on_too_many_short_strings(tmp_path, capsys):
+    # 40 one-byte alternatives give 40^4 = 2.56M strings of 4 bytes, more
+    # than the congruence oracle enumerates; "a" and "b" share a class, so
+    # the congruence check runs and must stop with an input error.
+    grammar = tmp_path / "wide.cfg"
+    alts = " | ".join(f'"{chr(b)}"' for b in b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
+    grammar.write_text(f's ::= c s | ""\nc ::= {alts}\n')
+    vocab = tmp_path / "wide.vocab"
+    vocab.write_text(Vocabulary((b"a", b"b", b"ab", b"\x00"), frozenset({3}), 3).render())
+    cache = tmp_path / "wide.czc"
+    assert run_cli(*compile_args(grammar, vocab, cache)) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = run_cli(
+        "verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
+        "--steps", "5", "--runs", "1", "--congruence-bound", "4",
+    )
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "at most 4 bytes" in err and "lower the bound" in err
+    assert elapsed < 20  # the guard stops the enumeration in about 0.1 s
 
 
 def test_bench_json_lines_and_speedup(dyck1_files, capsys):

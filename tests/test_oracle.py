@@ -132,6 +132,16 @@ def test_signature_matches_brute_force_on_random_grammars(case):
     assert context_signature(g, t, 2) == _brute_signature(g, t, 2)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(random_grammars(("eps", "unit", "left")), st.integers(0, 5))
+def test_bounded_language_matches_cyk_on_random_grammars(case, n):
+    # The yield enumerator against CYK membership of every string of at
+    # most n bytes, on grammars with epsilon, unit and left-recursive bodies.
+    g, alphabet = case
+    strings = [bytes(p) for k in range(n + 1) for p in itertools.product(alphabet, repeat=k)]
+    assert bounded_language(g, n) == {w for w in strings if oracle_membership(g, w)}
+
+
 def test_left_quotient_formulation():
     # Same-class tokens have identical bounded left quotients: for every
     # short prefix w, the completions of w+t and w+u coincide.
