@@ -72,8 +72,6 @@ from .oracle import (
     oracle_congruence_sample,
     oracle_membership,
     oracle_prefix,
-    viable_prefixes,
-    viable_suffixes,
 )
 
 __version__ = "0.1.0"
@@ -138,6 +136,4 @@ __all__ = [
     "transition_function",
     "try_advance",
     "validate",
-    "viable_prefixes",
-    "viable_suffixes",
 ]

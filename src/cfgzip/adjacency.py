@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gnf import GnfGrammar
+from .grammar import reachable
 
 
 @dataclass(frozen=True)
@@ -71,29 +72,14 @@ def build_stack_adjacency(g: GnfGrammar) -> StackAdjacency:
     h = build_rightmost_graph(g)
     unary_heads = {head for head, _, tail in g.productions if not tail}
 
-    reach_memo: dict[str, frozenset[str]] = {}
-
-    def reachable(root: str) -> frozenset[str]:
-        got = reach_memo.get(root)
-        if got is not None:
-            return got
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nt = frontier.pop()
-            for nxt in h.successors(nt):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        result = frozenset(seen)
-        reach_memo[root] = result
-        return result
-
+    reach: dict[str, frozenset[str]] = {}
     pairs: set[tuple[str, str]] = set()
     for _, _, tail in g.productions:
         for idx in range(1, len(tail)):
-            z = tail[idx]
-            for y in reachable(tail[idx - 1]):
+            b, z = tail[idx - 1], tail[idx]
+            if b not in reach:
+                reach[b] = reachable(h.edges, (b,))
+            for y in reach[b]:
                 if y in unary_heads:
                     pairs.add((y, z))
 

@@ -161,14 +161,12 @@ def cmd_verify(ns) -> int:
         if any(len(vocab.tokens[m]) < rep_len for m in mem):
             problems.append(f"class {k}: representative is not byte-shortest")
 
-    # Losslessness sweep: expanded compressed masks must equal naive masks.
-    report = _fuzz(ns, g, vocab, tbl)
-    mismatches = report.total_mismatches
-    first = next((run.first_mismatch for run in report.runs if run.first_mismatch), None)
-
-    # Refinement spot check: same-class pairs must never be refuted.
+    # Refinement spot check: same-class pairs must never be refuted.  It
+    # runs before the fuzz, so a grammar the oracle refuses to enumerate
+    # (exit 2) is reported without waiting for the fuzz.
     refuted = 0
     checked_pairs = 0
+    first_refuted = None
     if ns.congruence_pairs > 0:
         for k, mem in enumerate(members):
             if k in tbl.passthrough or checked_pairs >= ns.congruence_pairs:
@@ -185,8 +183,14 @@ def cmd_verify(ns) -> int:
                 checked_pairs += 1
                 if not oracle_congruence_sample(g, rep_tok, tok, ns.congruence_bound):
                     refuted += 1
-                    if first is None:
-                        first = {"class": k, "rep": rep_tok.hex(), "member": tok.hex()}
+                    if first_refuted is None:
+                        first_refuted = {"class": k, "rep": rep_tok.hex(), "member": tok.hex()}
+
+    # Losslessness sweep: expanded compressed masks must equal naive masks.
+    # Its first mismatch is reported ahead of a refuted pair.
+    report = _fuzz(ns, g, vocab, tbl)
+    mismatches = report.total_mismatches
+    first = next((run.first_mismatch for run in report.runs if run.first_mismatch), first_refuted)
 
     ok = not problems and mismatches == 0 and refuted == 0
     _emit(

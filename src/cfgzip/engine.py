@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classtable import ClassTable, Vocabulary, map_token
-from .grammar import Cfg, nullable_set, validate
+from .grammar import Cfg, nullable_set, reachable, validate
 
 
 class MaskedTokenError(ValueError):
@@ -107,18 +107,6 @@ class _Frontier:
         return [*own, *[(pid, dot, pos) for pid, dot in shared]]
 
 
-def _reachable(edges: dict[str, set[str]], roots: set[str]) -> frozenset[str]:
-    """The nonterminals reachable from ``roots`` (included) along ``edges``."""
-    seen = set(roots)
-    todo = list(roots)
-    while todo:
-        for m in edges[todo.pop()]:
-            if m not in seen:
-                seen.add(m)
-                todo.append(m)
-    return frozenset(seen)
-
-
 class _EngineGrammar:
     """Compiled production tables shared by every state of one grammar."""
 
@@ -143,7 +131,7 @@ class _EngineGrammar:
                 leading[head].add(sym)
                 if sym not in self.nullable:
                     break
-        self.predicts = {nt: _reachable(leading, {nt}) for nt in leading}
+        self.predicts = {nt: reachable(leading, (nt,)) for nt in leading}
         # Right-recursive productions end in a nonterminal that reaches
         # their head again through the last symbols of bodies.  Only their
         # completions start a Leo chain: elsewhere a chain cannot grow with
@@ -155,7 +143,7 @@ class _EngineGrammar:
         self.right_recursive = frozenset(
             pid
             for pid, (head, body) in enumerate(zip(self.heads, self.bodies))
-            if body and isinstance(body[-1], str) and head in _reachable(last, {body[-1]})
+            if body and isinstance(body[-1], str) and head in reachable(last, (body[-1],))
         )
         self._by_predicted: dict[frozenset, _Prediction] = {}
         self._by_closure: dict[frozenset, _Prediction] = {}

@@ -53,17 +53,6 @@ class StepRecord:
     naive_ns: int
     compressed_ns: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "step": self.index,
-            "state": self.state_digest,
-            "token": self.sampled_token,
-            "allowed": self.allowed_count,
-            "masks_equal": self.masks_equal,
-            "naive_ns": self.naive_ns,
-            "compressed_ns": self.compressed_ns,
-        }
-
 
 @dataclass
 class RunReport:

@@ -8,18 +8,36 @@ flag on the grammar rather than by a production.
 The conversion pipeline is the classical one: epsilon elimination, unit
 elimination, Paull's left-recursion elimination over the interned
 nonterminal order, back-substitution until every body leads with a
-terminal, then promotion of interior terminals to fresh byte rules.
-Fresh helper names are derived from the source nonterminal (``A'``,
-``A''``, ...) so dumps stay readable; byte rules are named ``b_XX`` by
-hex value.  Nothing here tries to minimise the result: correctness is
-what matters, size only affects offline time.
+terminal, promotion of interior terminals to fresh byte rules, then
+dropping what is unproductive or unreachable.  Fresh helper names are
+derived from the source nonterminal (``A'``, ``A''``, ...) so dumps stay
+readable; byte rules are named ``b_XX`` by hex value.  Nothing here
+tries to minimise the result: correctness is what matters, size only
+affects offline time.
+
+The epsilon, unit, productive and reachable passes are those of
+``grammar``, shared with the oracle's CNF and with validation.  A fault
+in them still shows: the GNF is checked through ``bounded_language``,
+whose enumerator reads epsilon and unit bodies as they stand, and the
+engine runs neither elimination.  ``render_gnf`` is ``render_grammar``
+over ``gnf_to_cfg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grammar import Cfg, GrammarError, nullable_set, validate
+from .grammar import (
+    Cfg,
+    GrammarError,
+    _productive_set,
+    drop_epsilon,
+    drop_units,
+    nullable_set,
+    reachable,
+    render_grammar,
+    validate,
+)
 
 DEFAULT_PRODUCTION_CAP = 1_000_000
 
@@ -145,57 +163,25 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
         prods.insert(0, (fresh_start, (start,)))
         start = fresh_start
 
-    # Epsilon elimination: expand every body over its nullable symbols and
-    # drop empty variants (the start flag carries epsilon).
+    # Epsilon elimination (the start flag carries epsilon), one production
+    # at a time: a body is checked for too many nullable symbols before
+    # its variants are built, and the cap after them.
+    variants = drop_epsilon(prods, nullable)
     expanded: list[tuple[str, tuple[int | str, ...]]] = []
-    seen: set[tuple[str, tuple[int | str, ...]]] = set()
     for head, body in prods:
-        null_positions = [i for i, s in enumerate(body) if isinstance(s, str) and s in nullable]
-        if len(null_positions) > 20:
+        count = sum(isinstance(s, str) and s in nullable for s in body)
+        if count > 20:
             raise GnfSizeError(
-                f"body of {head!r} has {len(null_positions)} nullable symbols; "
+                f"body of {head!r} has {count} nullable symbols; "
                 "epsilon elimination would explode"
             )
-        for mask in range(1 << len(null_positions)):
-            drop = {null_positions[k] for k in range(len(null_positions)) if mask >> k & 1}
-            variant = tuple(s for i, s in enumerate(body) if i not in drop)
-            if not variant:
-                continue
-            if (head, variant) not in seen:
-                seen.add((head, variant))
-                expanded.append((head, variant))
+        expanded += next(variants)
         _check_cap(len(expanded), max_productions, "epsilon elimination")
-    prods = expanded
 
-    # Unit elimination via unit-pair closure, in first-appearance order so
-    # the output is deterministic.
+    # Unit elimination in first-appearance order, so the output is
+    # deterministic.
     all_nts = [start] + [nt for nt in g.nonterminals if nt != start]
-    unit_lists: dict[str, list[str]] = {nt: [nt] for nt in all_nts}
-    unit_sets: dict[str, set[str]] = {nt: {nt} for nt in all_nts}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in prods:
-            if len(body) == 1 and isinstance(body[0], str):
-                tgt = body[0]
-                for a in all_nts:
-                    if head in unit_sets[a] and tgt not in unit_sets[a]:
-                        unit_sets[a].add(tgt)
-                        unit_lists[a].append(tgt)
-                        changed = True
-    non_unit: list[tuple[str, tuple[int | str, ...]]] = []
-    seen = set()
-    for a in all_nts:
-        for b in unit_lists[a]:
-            for head, body in prods:
-                if head != b:
-                    continue
-                if len(body) == 1 and isinstance(body[0], str):
-                    continue
-                if (a, body) not in seen:
-                    seen.add((a, body))
-                    non_unit.append((a, body))
-    prods = non_unit
+    prods = drop_units(expanded, all_nts)
     _check_cap(len(prods), max_productions, "unit elimination")
 
     # Paull's ordering: make every body lead with a terminal or a
@@ -273,32 +259,16 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
     _check_cap(len(gnf_prods), max_productions, "terminal promotion")
 
     # Source symbols that only derived epsilon leave dead tails behind;
-    # drop productions that can never complete a parse.
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, _, tail in gnf_prods:
-            if head not in productive and all(s in productive for s in tail):
-                productive.add(head)
-                changed = True
+    # drop productions that can never complete a parse, then symbols that
+    # ended up unreachable from the new start.
+    productive = _productive_set([(head, tail) for head, _, tail in gnf_prods])
     gnf_prods = [
         p for p in gnf_prods if p[0] in productive and all(s in productive for s in p[2])
     ]
-
-    # Drop symbols that ended up unreachable from the new start.
-    by_h: dict[str, list[tuple[str, int, tuple[str, ...]]]] = {}
-    for p in gnf_prods:
-        by_h.setdefault(p[0], []).append(p)
-    reach = {start}
-    stack = [start]
-    while stack:
-        nt = stack.pop()
-        for _, _, tail in by_h.get(nt, ()):
-            for s in tail:
-                if s not in reach:
-                    reach.add(s)
-                    stack.append(s)
+    edges: dict[str, list[str]] = {}
+    for head, _, tail in gnf_prods:
+        edges.setdefault(head, []).extend(tail)
+    reach = reachable(edges, (start,))
     gnf_prods = [p for p in gnf_prods if p[0] in reach]
 
     nonterminals: list[str] = []
@@ -324,40 +294,17 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
 
 def render_gnf(g: GnfGrammar) -> str:
     """Dump a GNF grammar in the grammar file format (tails as rule refs)."""
-    from .grammar import _escape_bytes  # shared byte escaping
-
-    by_head: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    order = []
-    for head, term, tail in g.productions:
-        if head not in by_head:
-            by_head[head] = []
-            order.append(head)
-        by_head[head].append((term, tail))
-    if order and order[0] != g.start and g.start in by_head:
-        order.remove(g.start)
-        order.insert(0, g.start)
-    lines = []
-    for head in order:
-        rendered = [
-            " ".join([f'"{_escape_bytes(bytes([term]))}"'] + list(tail))
-            for term, tail in by_head[head]
-        ]
-        if head == g.start and g.start_derives_epsilon:
-            rendered.append('""')
-        lines.append(f"{head} ::= {' | '.join(rendered)}")
-    if g.start not in by_head:
-        lines.insert(0, f'{g.start} ::= ""')
-    return "\n".join(lines) + "\n"
+    return render_grammar(gnf_to_cfg(g))
 
 
 def gnf_to_cfg(g: GnfGrammar) -> Cfg:
     """View a GNF grammar as a plain Cfg (the epsilon flag becomes a real
-    epsilon production on the start symbol)."""
+    epsilon production on the start symbol, listed last)."""
     prods: list[tuple[str, tuple[int | str, ...]]] = [
         (head, (term,) + tail) for head, term, tail in g.productions
     ]
     if g.start_derives_epsilon:
-        prods.insert(0, (g.start, ()))
+        prods.append((g.start, ()))
     return Cfg(
         nonterminals=g.nonterminals,
         alphabet=g.alphabet,

@@ -17,6 +17,11 @@ Internally terminals are individual bytes (ints 0..255) and nonterminals
 are identifier strings.  Nonterminals are interned to dense integer ids
 in first-appearance order, which keeps downstream numbering (and anything
 cached to disk) deterministic.
+
+The grammar passes the package shares are written once, here: the
+productive set, ``reachable``, ``nullable_set``, ``drop_epsilon``,
+``drop_units`` and ``render_grammar``.  Each keeps its output order,
+since GNF production order sets nonterminal codes.
 """
 
 from __future__ import annotations
@@ -286,12 +291,14 @@ def render_grammar(g: Cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _productive_set(g: Cfg) -> set[str]:
+def _productive_set(productions) -> set[str]:
+    """The heads that derive a terminal string, over a sequence of
+    ``(head, body)`` pairs (read more than once)."""
     productive: set[str] = set()
     changed = True
     while changed:
         changed = False
-        for head, body in g.productions:
+        for head, body in productions:
             if head in productive:
                 continue
             if all(isinstance(s, int) or s in productive for s in body):
@@ -300,21 +307,17 @@ def _productive_set(g: Cfg) -> set[str]:
     return productive
 
 
-def _reachable_set(g: Cfg, allowed: set[str]) -> set[str]:
-    reach = {g.start}
-    frontier = [g.start]
-    while frontier:
-        nt = frontier.pop()
-        for head, body in g.productions:
-            if head != nt:
-                continue
-            if not all(isinstance(s, int) or s in allowed for s in body):
-                continue
-            for s in body:
-                if isinstance(s, str) and s not in reach:
-                    reach.add(s)
-                    frontier.append(s)
-    return reach
+def reachable(edges, roots) -> frozenset[str]:
+    """The nonterminals reachable from ``roots`` (included) along ``edges``,
+    a mapping from a nonterminal to its successors (none if absent)."""
+    seen = set(roots)
+    todo = list(seen)
+    while todo:
+        for m in edges.get(todo.pop(), ()):
+            if m not in seen:
+                seen.add(m)
+                todo.append(m)
+    return frozenset(seen)
 
 
 def validate(g: Cfg) -> Cfg:
@@ -323,12 +326,16 @@ def validate(g: Cfg) -> Cfg:
     A nonterminal is productive iff it derives at least one terminal string
     (the empty string counts).  Idempotent.
     """
-    productive = _productive_set(g)
+    productive = _productive_set(g.productions)
     if g.start not in productive:
         raise EmptyLanguageError(
             f"start symbol {g.start!r} derives no string: the language is empty"
         )
-    keep = _reachable_set(g, productive) & productive
+    edges: dict[str, list[str]] = {}
+    for head, body in g.productions:
+        if all(isinstance(s, int) or s in productive for s in body):
+            edges.setdefault(head, []).extend(s for s in body if isinstance(s, str))
+    keep = reachable(edges, (g.start,)) & productive
     nonterminals = tuple(nt for nt in g.nonterminals if nt in keep)
     productions = tuple(
         (h, body)
@@ -352,6 +359,56 @@ def nullable_set(g: Cfg) -> frozenset[str]:
                 nullable.add(head)
                 changed = True
     return frozenset(nullable)
+
+
+def drop_epsilon(productions, nullable):
+    """Epsilon elimination over ``(head, body)`` pairs: yields, one list
+    per production and only when asked for, the non-empty variants of its
+    body with some ``nullable`` symbols left out (by a bit mask counting
+    up, so the whole body first) that were not yielded before."""
+    seen: set[tuple[str, tuple[int | str, ...]]] = set()
+    for head, body in productions:
+        null_positions = [i for i, s in enumerate(body) if isinstance(s, str) and s in nullable]
+        fresh = []
+        for mask in range(1 << len(null_positions)):
+            drop = {null_positions[k] for k in range(len(null_positions)) if mask >> k & 1}
+            variant = tuple(s for i, s in enumerate(body) if i not in drop)
+            if variant and (head, variant) not in seen:
+                seen.add((head, variant))
+                fresh.append((head, variant))
+        yield fresh
+
+
+def drop_units(productions, order) -> list[tuple[str, tuple[int | str, ...]]]:
+    """Unit elimination over ``(head, body)`` pairs: each nonterminal of
+    ``order`` in turn takes the non-unit bodies of itself, then of what it
+    derives through unit bodies in the order found, each pair once."""
+    unit_lists: dict[str, list[str]] = {nt: [nt] for nt in order}
+    unit_sets: dict[str, set[str]] = {nt: {nt} for nt in order}
+    changed = True
+    while changed:
+        changed = False
+        for head, body in productions:
+            if len(body) == 1 and isinstance(body[0], str):
+                tgt = body[0]
+                for a in order:
+                    if head in unit_sets[a] and tgt not in unit_sets[a]:
+                        unit_sets[a].add(tgt)
+                        unit_lists[a].append(tgt)
+                        changed = True
+    bodies: dict[str, list[tuple[int | str, ...]]] = {}
+    for head, body in productions:
+        if len(body) != 1 or isinstance(body[0], int):
+            bodies.setdefault(head, []).append(body)
+    out: list[tuple[str, tuple[int | str, ...]]] = []
+    seen: set[tuple[str, tuple[int | str, ...]]] = set()
+    for a in order:
+        for b in unit_lists[a]:
+            for body in bodies.get(b, ()):
+                if (a, body) not in seen:
+                    seen.add((a, body))
+                    out.append((a, body))
+    return out
 
 
 def derives_epsilon(g: Cfg, a: str) -> bool:

@@ -6,6 +6,15 @@ the prefix computation is a span DP over the original productions driven
 by that chart.  The engine must never be able to agree with these
 oracles simply by sharing their bugs.
 
+The binarized copy is made by the epsilon and unit elimination passes of
+``grammar`` (``drop_epsilon``, ``drop_units``), the ones the GNF
+conversion runs too, so a fault there could show on both sides alike.
+It cannot hide there: the engine, Earley over the original grammar, runs
+neither pass; the GNF is checked through ``bounded_language``, whose
+enumerator reads epsilon and unit bodies as they stand; and CYK is
+checked against ``bounded_language`` on random grammars and against the
+engine.
+
 One enumerator lists the strings of at most ``n`` bytes each symbol
 derives; ``bounded_language`` and the signatures read it, and it raises
 OracleBoundError rather than hold more than ``YIELD_LIMIT`` strings.
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .grammar import Cfg, nullable_set, validate
+from .grammar import Cfg, drop_epsilon, drop_units, nullable_set, validate
 
 DEFAULT_WORD_BOUND = 16
 # The most strings the yield enumerator holds in one set or in its whole table.
@@ -56,42 +65,9 @@ class _Cnf:
         self.ids: dict[str, int] = {nt: i for i, nt in enumerate(g.nonterminals)}
         next_id = len(g.nonterminals)
 
-        # DEL: drop nullable symbols in every combination, keep nonempty bodies.
-        bodies: list[tuple[str, tuple[int | str, ...]]] = []
-        seen = set()
-        for head, body in g.productions:
-            null_pos = [i for i, s in enumerate(body) if isinstance(s, str) and s in self.nullable]
-            for mask in range(1 << len(null_pos)):
-                drop = {null_pos[k] for k in range(len(null_pos)) if mask >> k & 1}
-                variant = tuple(s for i, s in enumerate(body) if i not in drop)
-                if variant and (head, variant) not in seen:
-                    seen.add((head, variant))
-                    bodies.append((head, variant))
-
-        # UNIT: closure over single-nonterminal bodies.
-        order = list(g.nonterminals)
-        unit = {nt: [nt] for nt in order}
-        unit_seen = {nt: {nt} for nt in order}
-        changed = True
-        while changed:
-            changed = False
-            for head, body in bodies:
-                if len(body) == 1 and isinstance(body[0], str):
-                    for a in order:
-                        if head in unit_seen[a] and body[0] not in unit_seen[a]:
-                            unit_seen[a].add(body[0])
-                            unit[a].append(body[0])
-                            changed = True
-        flat: list[tuple[str, tuple[int | str, ...]]] = []
-        seen = set()
-        for a in order:
-            for b in unit[a]:
-                for head, body in bodies:
-                    if head != b or (len(body) == 1 and isinstance(body[0], str)):
-                        continue
-                    if (a, body) not in seen:
-                        seen.add((a, body))
-                        flat.append((a, body))
+        # DEL and UNIT: the passes the GNF conversion runs too.
+        bodies = [p for fresh in drop_epsilon(g.productions, self.nullable) for p in fresh]
+        flat = drop_units(bodies, g.nonterminals)
 
         # TERM + BIN with helper reuse.
         byte_sym: dict[int, int] = {}
@@ -274,35 +250,6 @@ def oracle_membership(g: Cfg, w: bytes, bound: int | None = None) -> bool:
 def oracle_prefix(g: Cfg, w: bytes, bound: int | None = None) -> bool:
     """Exact prefix-language membership (independent of the engine)."""
     return _oracle_for(g).prefix(w, bound)
-
-
-def viable_prefixes(g: Cfg, max_len: int) -> list[bytes]:
-    """All prefix-viable strings up to ``max_len`` bytes, shortest first.
-
-    Enumerated down the prefix tree: children of a non-viable prefix are
-    never viable, so the walk only touches viable nodes."""
-    oracle = _oracle_for(g)
-    alphabet = sorted(oracle.grammar.alphabet)
-    out: list[bytes] = [b""]
-    layer: list[bytes] = [b""]
-    for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            for b in alphabet:
-                cand = w + bytes([b])
-                if oracle.prefix(cand):
-                    nxt.append(cand)
-        out.extend(nxt)
-        layer = nxt
-    return out
-
-
-def viable_suffixes(g: Cfg, max_len: int) -> list[bytes]:
-    """All strings up to ``max_len`` bytes that end some word of the language:
-    the viable prefixes of the grammar with every body reversed, reversed."""
-    g = validate(g)
-    rev = Cfg(g.nonterminals, g.alphabet, tuple((h, b[::-1]) for h, b in g.productions), g.start)
-    return [w[::-1] for w in viable_prefixes(rev, max_len)]
 
 
 def _yields(g: Cfg, max_len: int) -> dict[str | int, list[set[bytes]]]:

@@ -1,6 +1,7 @@
 """The four subcommands and their exit-code contract."""
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cfgzip import Vocabulary
+from cfgzip import Vocabulary, load_cache, load_vocabulary, save_cache
 from cfgzip.cli import build_parser, main
 
 from conftest import GRAMMARS, rewrite_cache_id, suite_vocabulary
@@ -161,10 +162,10 @@ def test_verify_stale_cache_fails(dyck1_files, tmp_path, capsys):
     assert "different vocabulary" in capsys.readouterr().err
 
 
-def test_verify_fails_fast_on_too_many_short_strings(tmp_path, capsys):
-    # 40 one-byte alternatives give 40^4 = 2.56M strings of 4 bytes, more
-    # than the congruence oracle enumerates; "a" and "b" share a class, so
-    # the congruence check runs and must stop with an input error.
+def wide_files(tmp_path):
+    """A compiled grammar with 40 one-byte alternatives: 40^4 = 2.56M
+    strings of 4 bytes, more than the congruence oracle enumerates.  "a"
+    and "b" share a class, so verify's congruence check has a pair."""
     grammar = tmp_path / "wide.cfg"
     alts = " | ".join(f'"{chr(b)}"' for b in b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
     grammar.write_text(f's ::= c s | ""\nc ::= {alts}\n')
@@ -172,6 +173,12 @@ def test_verify_fails_fast_on_too_many_short_strings(tmp_path, capsys):
     vocab.write_text(Vocabulary((b"a", b"b", b"ab", b"\x00"), frozenset({3}), 3).render())
     cache = tmp_path / "wide.czc"
     assert run_cli(*compile_args(grammar, vocab, cache)) == 0
+    return grammar, vocab, cache
+
+
+def test_verify_fails_fast_on_too_many_short_strings(tmp_path, capsys):
+    # The congruence check must stop with an input error.
+    grammar, vocab, cache = wide_files(tmp_path)
     capsys.readouterr()
     start = time.perf_counter()
     rc = run_cli(
@@ -183,6 +190,44 @@ def test_verify_fails_fast_on_too_many_short_strings(tmp_path, capsys):
     assert rc == 2
     assert "at most 4 bytes" in err and "lower the bound" in err
     assert elapsed < 20  # the guard stops the enumeration in about 0.1 s
+
+
+def test_verify_checks_congruence_before_the_fuzz(tmp_path, capsys, monkeypatch):
+    # The oracle's input error comes before any fuzz step is spent.
+    grammar, vocab, cache = wide_files(tmp_path)
+
+    def no_fuzz(*args, **kwargs):
+        raise AssertionError("the fuzz ran before the congruence check")
+
+    monkeypatch.setattr("cfgzip.cli.fuzz_decode", no_fuzz)
+    rc = run_cli(
+        "verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
+        "--congruence-bound", "4",
+    )
+    assert rc == 2
+    assert "lower the bound" in capsys.readouterr().err
+
+
+def test_verify_reports_a_mask_mismatch_ahead_of_a_refuted_pair(dyck1_files, capsys):
+    # ")" is put in the class of "(": the fuzz finds a mask mismatch at the
+    # first step and the congruence check refutes the pair.  The fuzz
+    # mismatch is the failure reported, although the pair is checked first.
+    grammar, vocab, cache = dyck1_files
+    run_cli(*compile_args(grammar, vocab, cache))
+    tbl = load_cache(cache)
+    tokens = load_vocabulary(vocab).tokens
+    c = tbl.c.copy()
+    c[tokens.index(b")")] = c[tokens.index(b"(")]
+    save_cache(dataclasses.replace(tbl, c=c), cache)
+    capsys.readouterr()
+    rc = run_cli(
+        "verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
+        "--steps", "5", "--runs", "1", "--format", "json-lines",
+    )
+    rec = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert rec["mask_mismatches"] > 0 and rec["congruence_refuted"] > 0
+    assert rec["first_failure"]["step"] == 0 and "rep" not in rec["first_failure"]
 
 
 def test_bench_json_lines_and_speedup(dyck1_files, capsys):
@@ -300,7 +345,7 @@ def test_compressed_unaffected_by_byte_duplicates(tmp_path, capsys):
     v1 = tmp_path / "v1.vocab"
     v1.write_text(base.render())
     doubled = base.tokens[: base.eos_id] * 2 + (base.tokens[base.eos_id],)
-    from cfgzip import Vocabulary
+    from cfgzip import Vocabulary, load_cache, load_vocabulary, save_cache
 
     v2 = tmp_path / "v2.vocab"
     v2.write_text(

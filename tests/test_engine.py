@@ -515,6 +515,34 @@ def test_trie_walk_equals_naive_mask_on_random_grammars(case):
             )
 
 
+@st.composite
+def random_grammar_fuzzes(draw):
+    g, alphabet = draw(random_grammars(("free", "left", "right", "byte", "unit", "eps")))
+    return g, alphabet, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(random_grammar_fuzzes())
+def test_fuzz_lossless_on_random_grammars(case):
+    # Dual-state losslessness: the compressed mask on the state advanced by
+    # representatives equals the naive mask on the state advanced by the
+    # sampled bytes, at every step, on grammars of every shape.
+    g, alphabet, seed = case
+    strings = (itertools.product(sorted(alphabet), repeat=n) for n in range(1, 4))
+    tokens = [b""] + [bytes(p) for group in strings for p in group]
+    eos = len(tokens)
+    vocab = Vocabulary(tokens=(*tokens, b"</s>"), specials=frozenset({eos}), eos_id=eos)
+    try:
+        gnf = to_gnf(g, max_productions=400)
+    except GnfSizeError:
+        return  # a few random grammars inflate past the cap
+    sweep = compute_all_displacements(vocab.tokens, gnf, build_stack_adjacency(gnf), budget=10_000)
+    tbl = build_class_table(vocab, sweep.displacements)
+    report = fuzz_decode(g, vocab, tbl, FuzzConfig(seed=seed, steps=20, runs=2))
+    assert report.total_mismatches == 0
+    assert all(run.outcome != "diverged" for run in report.runs)
+
+
 def test_grammar_keyed_caches_stay_bounded():
     # The engine and oracle caches keep at most their bound of grammars,
     # however many grammars a process queries (the random-grammar

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from cfgzip import (
     GnfGrammar,
@@ -19,7 +20,7 @@ from cfgzip import (
 from cfgzip.gnf import gnf_to_cfg
 from cfgzip.oracle import bounded_language, oracle_membership
 
-from conftest import GRAMMARS, figure_grammar, suite_grammar
+from conftest import GRAMMARS, figure_grammar, random_grammars, suite_grammar
 
 
 def assert_gnf_shape(gnf):
@@ -72,6 +73,21 @@ def test_language_preserved_exhaustively(name):
     gnf = to_gnf(g)
     assert bounded_language(g, 8) == bounded_language(gnf_to_cfg(gnf), 8)
     assert gnf.start_derives_epsilon == (b"" in bounded_language(g, 8))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(random_grammars(("free", "left", "right", "byte", "unit", "eps")))
+def test_language_preserved_on_random_grammars(drawn):
+    # The shared epsilon, unit, productive and reachable passes, checked
+    # from the GNF side on grammars the suite grammars do not cover.
+    g, _ = drawn
+    try:
+        gnf = to_gnf(g, max_productions=400)
+    except GnfSizeError:
+        return  # a few random grammars inflate past the cap
+    words = bounded_language(g, 5)
+    assert words == bounded_language(gnf_to_cfg(gnf), 5)
+    assert gnf.start_derives_epsilon == (b"" in words)
 
 
 def test_bounded_language_agrees_with_cyk():

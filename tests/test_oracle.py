@@ -20,8 +20,6 @@ from cfgzip import (
     oracle_prefix,
     pda_accepts,
     to_gnf,
-    viable_prefixes,
-    viable_suffixes,
 )
 from cfgzip.oracle import bounded_language
 
@@ -192,16 +190,6 @@ def test_pipeline_classes_never_refuted_small():
         rep = vocab.tokens[int(tbl.r[k])]
         for tid in mem:
             assert oracle_congruence_sample(g, rep, vocab.tokens[tid], 4), (rep, vocab.tokens[tid])
-
-
-def test_viable_prefixes_dyck():
-    got = viable_prefixes(suite_grammar("dyck1"), 2)
-    assert got == [b"", b"(", b"((", b"()"]
-
-
-def test_viable_suffixes_dyck():
-    got = viable_suffixes(suite_grammar("dyck1"), 2)
-    assert set(got) == {b"", b")", b"))", b"()"}
 
 
 def test_fuzz_deterministic_repeat():
