@@ -1,17 +1,19 @@
 """Reference constrained-decoding engine over the original grammar.
 
-An incremental byte-level Earley recognizer: a state holds one frontier
-of dotted items per consumed byte and is never mutated, so trial
-advances are cheap to roll back (just drop the returned state).  The
-recognizer runs on the original grammar, not the GNF one; the GNF side
-of the pipeline exists purely to compute equivalence classes.
+An incremental byte-level Earley recognizer without a chart: an item's
+origin is the frontier it started at, not a position, so a state holds
+only its last frontier and an advance costs O(token bytes) however long
+the output is.  Frontiers are never mutated, so trial advances are cheap
+to roll back (just drop the returned state).  The recognizer runs on the
+original grammar, not the GNF one; the GNF side of the pipeline exists
+purely to compute equivalence classes.
 
 A frontier keeps two kinds of items.  Those carried in from earlier
 positions (by scanning or completion) are closed per frontier.  Those it
 predicts depend only on the set of nonterminals predicted, so they come
 from a position-free prediction table shared by every frontier with that
 set (Aycock & Horspool 2002, "Practical Earley Parsing"), and take the
-frontier's position as their origin when read.
+frontier itself as their origin when read.
 
 Right recursion would still make a frontier walk one completion per
 level: inside a string, ``chars ::= char chars`` completes once for every
@@ -25,11 +27,10 @@ skipped items back, so state digests cover the full Earley item set.
 
 The naive mask checks every vocabulary token with a trial advance.  The
 compressed mask tries the class representatives only, which is the
-entire speedup: it walks a byte trie of the representatives depth-first
-over one chart, so representatives sharing a prefix share its frontiers.
-Bytes that scan to the same seeds from one frontier also share one close,
-where a seed that completes its production counts only as its head and
-origin.  That is exact: the closure reads a complete seed through nothing
+entire speedup: it walks a byte trie of the representatives depth-first,
+so representatives sharing a prefix share its frontiers.  Bytes that
+scan to the same seeds from one frontier also share one close, where a
+seed that completes its production counts only as its head and origin.  That is exact: the closure reads a complete seed through nothing
 else, a scanned seed never starts a Leo chain, and the frontiers so
 merged differ only in their own seed items, which no later step reads.
 Inside a JSON string every plain byte completes ``char ::= "x"`` for its
@@ -56,7 +57,7 @@ class MaskedTokenError(ValueError):
 
 class _Prediction:
     """The items predicted for one set of nonterminals, as (pid, dot) pairs
-    whose origin is the position of the frontier that reads them.
+    whose origin is the frontier that reads them.
 
     ``scan_map`` and ``wait_map`` hold the pairs already advanced over the
     byte or nonterminal they are keyed by; ``complete`` says whether an
@@ -77,9 +78,9 @@ class _Prediction:
 
 class _Frontier:
     """One Earley item set at byte position ``pos``: the items carried in
-    from earlier positions, pre-indexed for scanning and completion (already
-    advanced, like the prediction table's), plus the shared table of the
-    items predicted here.
+    from earlier frontiers, as (pid, dot, origin frontier) triples,
+    pre-indexed for scanning and completion (already advanced, like the
+    prediction table's), plus the shared table of the items predicted here.
 
     ``leo`` memoises, per nonterminal completed with this frontier as its
     origin, the Leo link of that completion (None if it starts no chain);
@@ -103,8 +104,7 @@ class _Frontier:
         shared = self.pred.scan_map.get(b)
         if shared is None:
             return own
-        pos = self.pos
-        return [*own, *[(pid, dot, pos) for pid, dot in shared]]
+        return [*own, *[(pid, dot, self) for pid, dot in shared]]
 
 
 class _EngineGrammar:
@@ -147,7 +147,7 @@ class _EngineGrammar:
         )
         self._by_predicted: dict[frozenset, _Prediction] = {}
         self._by_closure: dict[frozenset, _Prediction] = {}
-        self._trie_key = None
+        self._trie_key = (None, None)
         self._trie = None
 
     def prediction(self, predicted: frozenset) -> _Prediction:
@@ -195,12 +195,12 @@ class _EngineGrammar:
             },
         )
 
-    def close(self, chart, seeds, pos: int) -> _Frontier:
+    def close(self, seeds, pos: int) -> _Frontier:
         # Completer closure over the carried items only: every seed and
-        # every completion has its origin below ``pos``.  The predictor is
-        # the shared table; zero-width completions need no walk, because
-        # the predictor advances over nullable symbols directly.
-        items: set[tuple[int, int, int]] = set()
+        # every completion has its origin at a frontier below ``pos``.  The
+        # predictor is the shared table; zero-width completions need no
+        # walk, because the predictor advances over nullable symbols directly.
+        items: set[tuple[int, int, _Frontier]] = set()
         work = list(seeds)
         scan: dict[int, list] = {}
         wait: dict[str, list] = {}
@@ -217,14 +217,14 @@ class _EngineGrammar:
             body = bodies[pid]
             if dot == len(body):
                 head = heads[pid]
-                if org == 0 and head == start:
+                if org.pos == 0 and head == start:
                     complete = True
                 if pid in right_recursive:
                     # Most lookups hit the memo: read it here, not in leo().
-                    memo = chart[org].leo
+                    memo = org.leo
                     link = _UNSET if memo is None else memo.get(head, _UNSET)
                     if link is _UNSET:
-                        link = self.leo(chart, org, head)
+                        link = self.leo(org, head)
                     if link is not None:
                         # Complete the chain's top instead, skipping the
                         # items in between; item_set() puts them back.
@@ -236,9 +236,8 @@ class _EngineGrammar:
                         items.add(item)
                         pid, _, org = item
                         head = heads[pid]
-                parent = chart[org]
-                work.extend(parent.wait_map.get(head, ()))
-                shared = parent.pred.wait_map.get(head)
+                work.extend(org.wait_map.get(head, ()))
+                shared = org.pred.wait_map.get(head)
                 if shared:
                     work.extend([(ppid, pdot, org) for ppid, pdot in shared])
             else:
@@ -253,10 +252,10 @@ class _EngineGrammar:
                         work.append(nxt)
         return _Frontier(pos, items, scan, wait, self.prediction(frozenset(predicted)), complete)
 
-    def leo(self, chart, org: int, head: str):
+    def leo(self, org: _Frontier, head: str):
         """The Leo link for ``head`` completed with origin ``org``, or None.
 
-        The completion starts a chain when ``chart[org]`` holds exactly one
+        The completion starts a chain when frontier ``org`` holds exactly one
         item waiting on ``head`` and that item is complete once advanced:
         then that item is the only consequence of the completion, and it
         completes its own head in turn (Leo 1991, "A general context-free
@@ -264,7 +263,7 @@ class _EngineGrammar:
         grammar").  A link is ``(top, item, rest, complete)``: the last
         complete item of the chain, the one this completion advances, the
         link of that item's completion (None at the top), and whether any
-        item of the chain is the start symbol at origin 0.  Links are
+        item of the chain is the start symbol at position 0.  Links are
         memoised on the frontier at their origin, which never changes, so
         a chain grows by one step per frontier and each step is walked
         once.
@@ -273,15 +272,14 @@ class _EngineGrammar:
         path = []
         same_origin = None  # the heads met at origin ``org``, once it repeats
         while True:
-            frontier = chart[org]
-            memo = frontier.leo
+            memo = org.leo
             if memo is None:
-                memo = frontier.leo = {}
+                memo = org.leo = {}
             link = memo.get(head, _UNSET)
             if link is not _UNSET:
                 break
-            own = frontier.wait_map.get(head, ())
-            shared = frontier.pred.wait_map.get(head, ())
+            own = org.wait_map.get(head, ())
+            shared = org.pred.wait_map.get(head, ())
             if len(own) + len(shared) != 1:
                 link = memo[head] = None
                 break
@@ -292,7 +290,7 @@ class _EngineGrammar:
                 break
             path.append((memo, head, item))
             up_head = heads[pid]
-            if up == org:
+            if up is org:
                 # A chain of completions at one origin can cycle through
                 # unit-like productions; stop it where it comes round.
                 if same_origin is None:
@@ -306,7 +304,7 @@ class _EngineGrammar:
             head, org = up_head, up
         start = self.start
         for memo, head, item in reversed(path):
-            at_start = item[2] == 0 and heads[item[0]] == start
+            at_start = item[2].pos == 0 and heads[item[0]] == start
             if link is None:
                 link = (item, item, None, at_start)
             else:
@@ -328,19 +326,21 @@ class _EngineGrammar:
     def rep_trie(self, tbl: ClassTable, vocab: Vocabulary):
         """The byte trie of the non-pass-through class representatives, as
         nested ``(classes ending here, {byte: child})`` nodes.  The last
-        one built is kept, keyed by the representatives' bytes."""
-        reps = tuple([vocab.tokens[r] for r in tbl.r.tolist()])
-        key = (reps, tbl.passthrough)
-        if key != self._trie_key:
+        one built is kept, keyed by the vocabulary's tokens (compared by
+        identity first), the representative ids and the pass-through set."""
+        tokens, r = vocab.tokens, tbl.r
+        ids = (r.dtype.str, r.tobytes(), tbl.passthrough)
+        old_tokens, old_ids = self._trie_key
+        if ids != old_ids or (tokens is not old_tokens and tokens != old_tokens):
             root: tuple[list, dict] = ([], {})
-            for k, rep in enumerate(reps):
+            for k, rid in enumerate(r.tolist()):
                 if k in tbl.passthrough:
                     continue
                 node = root
-                for b in rep:
+                for b in tokens[rid]:
                     node = node[1].setdefault(b, ([], {}))
                 node[0].append(k)
-            self._trie_key, self._trie = key, root
+            self._trie_key, self._trie = (tokens, ids), root
         return self._trie
 
 
@@ -356,38 +356,39 @@ def _engine_for(g: Cfg) -> _EngineGrammar:
 class EngineState:
     """A viable recognizer state: the consumed bytes form a valid prefix.
 
-    Treated as immutable; advancing returns a fresh state sharing all
-    earlier frontiers.  ``consumed`` and ``complete`` are read off the chart.
+    Treated as immutable.  It holds only its ``last`` frontier, whose
+    items reach the earlier frontiers that still matter as their origins;
+    ``consumed`` and ``complete`` are read off that frontier.
     """
 
     eg: _EngineGrammar
-    chart: tuple
+    last: _Frontier
 
     @property
     def consumed(self) -> int:
-        return len(self.chart) - 1
+        return self.last.pos
 
     @property
     def complete(self) -> bool:
-        return self.chart[-1].complete
+        return self.last.complete
 
     def item_set(self) -> set[tuple[int, int, int]]:
         """The full Earley item set at the last position, as (production
-        index, dot, origin) triples: the carried items, the items that Leo
-        chains skipped, and the predicted items."""
-        chart = self.chart
-        last = chart[-1]
+        index, dot, origin position) triples: the carried items, the items
+        that Leo chains skipped, and the predicted items."""
+        last = self.last
         items = set(last.items)
         heads, bodies, right_recursive = self.eg.heads, self.eg.bodies, self.eg.right_recursive
         for pid, dot, org in last.items:
             if dot == len(bodies[pid]) and pid in right_recursive:
                 # A chain's top is completed without a lookup of its own.
-                link = (chart[org].leo or {}).get(heads[pid])
+                link = (org.leo or {}).get(heads[pid])
                 while link is not None:
                     items.add(link[1])
                     link = link[2]
-        items.update((pid, dot, last.pos) for pid, dot in last.pred.items)
-        return items
+        out = {(pid, dot, org.pos) for pid, dot, org in items}
+        out.update((pid, dot, last.pos) for pid, dot in last.pred.items)
+        return out
 
     def digest(self) -> str:
         h = hashlib.sha1()
@@ -402,7 +403,7 @@ def new_state(g: Cfg) -> EngineState:
     eg = _engine_for(g)  # validate() inside raises EmptyLanguageError
     pred = eg.prediction(frozenset((eg.start,)))
     frontier = _Frontier(0, frozenset(), {}, {}, pred, pred.complete)
-    return EngineState(eg, (frontier,))
+    return EngineState(eg, frontier)
 
 
 def try_advance(s: EngineState, data: bytes) -> EngineState | None:
@@ -413,13 +414,13 @@ def try_advance(s: EngineState, data: bytes) -> EngineState | None:
     """
     if not data:
         return s
-    chart = list(s.chart)
+    frontier, close = s.last, s.eg.close
     for b in data:
-        seeds = chart[-1].scan(b)
+        seeds = frontier.scan(b)
         if not seeds:
             return None
-        chart.append(s.eg.close(chart, seeds, len(chart)))
-    return EngineState(s.eg, tuple(chart))
+        frontier = close(seeds, frontier.pos + 1)
+    return EngineState(s.eg, frontier)
 
 
 @dataclass
@@ -469,32 +470,30 @@ def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) 
     ends, children = eg.rep_trie(tbl, vocab)
     accepted = list(ends)  # empty representatives: ``try_advance(s, b"")`` is ``s``
     close, seed_key = eg.close, eg.seed_key
-    chart = list(s.chart)
     # Closes so far, keyed by the parent frontier object (the key holds it,
-    # so no id is reused) and the seeds' shared form.  A frontier of the
-    # walk has one chain of prefix frontiers, so the parent fixes every
-    # origin the close can reach.
+    # so no id is reused), which fixes every origin the close can reach,
+    # and the seeds' shared form; in front of them, each (frontier, byte)
+    # step, which trie nodes whose prefixes shared a close repeat.
     closed: dict[tuple, _Frontier] = {}
-    # Depth-first: an entry's frontier sits at chart[pos], and everything
-    # popped after it was pushed lies at chart[pos:] and deeper, so
-    # chart[:pos] still holds the frontiers of its prefix when it is popped.
-    todo = [(len(chart) - 1, chart[-1], children)]
+    stepped: dict[tuple, _Frontier] = {}
+    todo = [(s.last, children)]
     while todo:
-        pos, frontier, children = todo.pop()
-        del chart[pos:]
-        chart.append(frontier)
+        frontier, children = todo.pop()
         own, pred = frontier.scan_map, frontier.pred
         for b, (ends, sub) in children.items():
             if b not in own and b not in pred.scan_map:
                 continue
             accepted.extend(ends)
             if sub:
-                mine = own.get(b)
-                key = (frontier, seed_key(mine) if mine else None, pred.scan_key.get(b))
-                nxt = closed.get(key)
+                nxt = stepped.get((frontier, b))
                 if nxt is None:
-                    nxt = closed[key] = close(chart, frontier.scan(b), pos + 1)
-                todo.append((pos + 1, nxt, sub))
+                    mine = own.get(b)
+                    key = (frontier, seed_key(mine) if mine else None, pred.scan_key.get(b))
+                    nxt = closed.get(key)
+                    if nxt is None:
+                        nxt = closed[key] = close(frontier.scan(b), frontier.pos + 1)
+                    stepped[frontier, b] = nxt
+                todo.append((nxt, sub))
     bits[accepted] = True
     return Mask(bits, "classes")
 

@@ -31,6 +31,7 @@ from .grammar import (
     Cfg,
     GrammarError,
     _productive_set,
+    check_nullable_bodies,
     drop_epsilon,
     drop_units,
     nullable_set,
@@ -164,18 +165,12 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
         start = fresh_start
 
     # Epsilon elimination (the start flag carries epsilon), one production
-    # at a time: a body is checked for too many nullable symbols before
-    # its variants are built, and the cap after them.
-    variants = drop_epsilon(prods, nullable)
+    # at a time, after every body is checked for too many nullable
+    # symbols; the cap is checked after each production's variants.
+    check_nullable_bodies(prods, nullable, GnfSizeError)
     expanded: list[tuple[str, tuple[int | str, ...]]] = []
-    for head, body in prods:
-        count = sum(isinstance(s, str) and s in nullable for s in body)
-        if count > 20:
-            raise GnfSizeError(
-                f"body of {head!r} has {count} nullable symbols; "
-                "epsilon elimination would explode"
-            )
-        expanded += next(variants)
+    for fresh in drop_epsilon(prods, nullable):
+        expanded += fresh
         _check_cap(len(expanded), max_productions, "epsilon elimination")
 
     # Unit elimination in first-appearance order, so the output is

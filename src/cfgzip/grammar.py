@@ -19,9 +19,9 @@ in first-appearance order, which keeps downstream numbering (and anything
 cached to disk) deterministic.
 
 The grammar passes the package shares are written once, here: the
-productive set, ``reachable``, ``nullable_set``, ``drop_epsilon``,
-``drop_units`` and ``render_grammar``.  Each keeps its output order,
-since GNF production order sets nonterminal codes.
+productive set, ``reachable``, ``nullable_set``, ``drop_epsilon`` with
+its size guard, ``drop_units`` and ``render_grammar``.  Each keeps its
+output order, since GNF production order sets nonterminal codes.
 """
 
 from __future__ import annotations
@@ -359,6 +359,21 @@ def nullable_set(g: Cfg) -> frozenset[str]:
                 nullable.add(head)
                 changed = True
     return frozenset(nullable)
+
+
+# Epsilon elimination writes up to 2^k variants of a body with k nullable
+# symbols; its callers refuse a body with more than this many first.
+NULLABLE_LIMIT = 20
+
+
+def check_nullable_bodies(productions, nullable, error: type[Exception]) -> None:
+    """Raise ``error`` if a body holds more than NULLABLE_LIMIT nullable symbols."""
+    for head, body in productions:
+        count = sum(isinstance(s, str) and s in nullable for s in body)
+        if count > NULLABLE_LIMIT:
+            raise error(
+                f"body of {head!r} has {count} nullable symbols; epsilon elimination would explode"
+            )
 
 
 def drop_epsilon(productions, nullable):

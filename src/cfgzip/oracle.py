@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .grammar import Cfg, drop_epsilon, drop_units, nullable_set, validate
+from .grammar import Cfg, check_nullable_bodies, drop_epsilon, drop_units, nullable_set, validate
 
 DEFAULT_WORD_BOUND = 16
 # The most strings the yield enumerator holds in one set or in its whole table.
@@ -65,7 +65,8 @@ class _Cnf:
         self.ids: dict[str, int] = {nt: i for i, nt in enumerate(g.nonterminals)}
         next_id = len(g.nonterminals)
 
-        # DEL and UNIT: the passes the GNF conversion runs too.
+        # DEL and UNIT: the passes the GNF conversion runs too, with its guard.
+        check_nullable_bodies(g.productions, self.nullable, OracleBoundError)
         bodies = [p for fresh in drop_epsilon(g.productions, self.nullable) for p in fresh]
         flat = drop_units(bodies, g.nonterminals)
 

@@ -241,6 +241,12 @@ def earley_item_sets(g: Cfg, data: bytes) -> list[frozenset] | None:
             return None
 
 
+def carried_items(frontier) -> frozenset:
+    """The items an engine frontier carries in from earlier frontiers, as
+    (production index, dot, origin position) triples."""
+    return frozenset((pid, dot, org.pos) for pid, dot, org in frontier.items)
+
+
 @contextmanager
 def counting_closes():
     """Count the frontiers the engine closes while the block runs, keyed
@@ -250,9 +256,9 @@ def counting_closes():
     closed: Counter = Counter()
     close = _EngineGrammar.close
 
-    def counted(self, chart, seeds, pos):
-        frontier = close(self, chart, seeds, pos)
-        closed[(frontier.pos, frozenset(frontier.items))] += 1
+    def counted(self, seeds, pos):
+        frontier = close(self, seeds, pos)
+        closed[(frontier.pos, carried_items(frontier))] += 1
         return frontier
 
     _EngineGrammar.close = counted

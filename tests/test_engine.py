@@ -37,6 +37,7 @@ from cfgzip import (
 
 from conftest import (
     GRAMMARS,
+    carried_items,
     counting_closes,
     earley_item_sets,
     random_grammars,
@@ -162,7 +163,7 @@ def test_leo_chain_through_start_at_origin_zero_sets_complete():
         (pid, len(body), 0) for pid, (head, body) in enumerate(g.productions) if head == g.start
     }
     assert s.complete
-    assert not start_items & set(s.chart[-1].items), "the chain should skip the start item"
+    assert not start_items & carried_items(s.last), "the chain should skip the start item"
     assert start_items & s.item_set()
 
 
@@ -442,7 +443,7 @@ def test_trie_walk_shares_closes_among_equal_seed_chains(prefix, table):
         }
         chains[p] = chains.get(p[:-1], ()) + (shared_form(g, scanned),)
         # Equal chains close equal frontiers: the sharing rule is exact.
-        frontier = (t.chart[-1].pos, shared_form(g, t.chart[-1].items))
+        frontier = (t.last.pos, shared_form(g, carried_items(t.last)))
         assert frontiers.setdefault(chains[p], frontier) == frontier
     want = Counter(frontiers.values())
     assert want
@@ -469,6 +470,10 @@ def test_trie_walk_shares_closes_inside_a_string():
     assert 0 < sum(closed.values()) < len(accepted)
 
 
+# Every shape ``random_grammars`` draws.
+SHAPES = ("free", "left", "right", "byte", "unit", "eps")
+
+
 def short_string_vocabulary(alphabet):
     """Every string of one to four bytes over ``alphabet``, plus EOS."""
     tokens = [bytes(p) for n in range(1, 5) for p in itertools.product(sorted(alphabet), repeat=n)]
@@ -479,7 +484,7 @@ def short_string_vocabulary(alphabet):
 
 @st.composite
 def random_grammar_walks(draw):
-    g, alphabet = draw(random_grammars(("free", "left", "right", "byte", "unit", "eps")))
+    g, alphabet = draw(random_grammars(SHAPES))
     return g, alphabet, draw(st.lists(st.sampled_from(alphabet), max_size=6))
 
 
@@ -517,7 +522,7 @@ def test_trie_walk_equals_naive_mask_on_random_grammars(case):
 
 @st.composite
 def random_grammar_fuzzes(draw):
-    g, alphabet = draw(random_grammars(("free", "left", "right", "byte", "unit", "eps")))
+    g, alphabet = draw(random_grammars(SHAPES))
     return g, alphabet, draw(st.integers(0, 2**16))
 
 
@@ -603,20 +608,25 @@ def assert_matches_reference(g, data, s):
 
 @st.composite
 def byte_walks(draw):
-    """A grammar (suite or Leo) and a viable prefix reached by a random byte
-    walk that skips the bytes the engine rejects."""
-    texts = {**GRAMMARS, **LEO_GRAMMARS}
-    g = validate(parse_grammar(texts[draw(st.sampled_from(sorted(texts)))]))
+    """A grammar (suite, Leo, or random of all six shapes) and a viable
+    prefix reached by a random byte walk that skips the bytes the engine
+    rejects."""
+    if draw(st.booleans()):
+        g, alphabet = draw(random_grammars(SHAPES))
+    else:
+        texts = {**GRAMMARS, **LEO_GRAMMARS}
+        g = validate(parse_grammar(texts[draw(st.sampled_from(sorted(texts)))]))
+        alphabet = sorted(g.alphabet)
     data = b""
     s = new_state(g)
-    for b in draw(st.lists(st.sampled_from(sorted(g.alphabet)), max_size=24)):
+    for b in draw(st.lists(st.sampled_from(alphabet), max_size=24)):
         nxt = try_advance(s, bytes([b]))
         if nxt is not None:
             s, data = nxt, data + bytes([b])
     return g, data, s
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(byte_walks())
 def test_item_set_and_digest_match_textbook_earley(walk):
     assert_matches_reference(*walk)
@@ -688,16 +698,15 @@ def test_mask_work_is_flat_inside_a_long_string():
     # of the same sizes at both.
     g, vocab, tbl = suite_pipeline("json_mini")
     text = b'"' + b"ab" * 2000
-    s = try_advance(new_state(g), text)
-    assert len(s.chart[4001].items) == len(s.chart[41].items)
+    at_40 = try_advance(new_state(g), text[:41])
+    at_4000 = try_advance(new_state(g), text[:4001])
+    assert len(at_4000.last.items) == len(at_40.last.items)
 
     def closed_items(state):
         with counting_closes() as closed:
             compute_mask_compressed(state, tbl, vocab)
         return sorted(len(items) for (_, items), n in closed.items() for _ in range(n))
 
-    at_40 = try_advance(new_state(g), text[:41])
-    at_4000 = try_advance(new_state(g), text[:4001])
     assert closed_items(at_40) == closed_items(at_4000)
 
 

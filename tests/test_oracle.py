@@ -1,6 +1,7 @@
 """The oracles themselves: membership, prefix, congruence, fuzz determinism."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from cfgzip import (
     oracle_congruence_sample,
     oracle_membership,
     oracle_prefix,
+    parse_grammar,
     pda_accepts,
     to_gnf,
+    validate,
 )
 from cfgzip.oracle import bounded_language
 
@@ -52,6 +55,19 @@ def test_membership_bound():
     with pytest.raises(OracleBoundError):
         oracle_membership(g, b"()" * 20)
     assert oracle_membership(g, b"()" * 20, bound=64) is True
+
+
+def test_cnf_refuses_too_many_nullable_symbols_before_building_variants():
+    # The first body's 20 nullable symbols pass the guard, the second's 21
+    # do not; the 2^20 variants of the first must not be built either.
+    names = [f"o{k}" for k in range(21)]
+    text = "root ::= " + " ".join(names[:20]) + " | " + " ".join(names) + "\n"
+    text += "\n".join(f'{name} ::= "x" | ""' for name in names)
+    g = validate(parse_grammar(text))
+    t0 = time.perf_counter()
+    with pytest.raises(OracleBoundError, match="21 nullable symbols"):
+        oracle_membership(g, b"xx")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_prefix_basics():
