@@ -4,8 +4,8 @@ Every subcommand reads ``--grammar``, ``--vocab``, ``--cache`` and
 ``--format``; beyond those, each takes only the flags it reads:
 
 - compile: ``--budget`` for the sweep, ``--dump-gnf``; it reports the
-  seconds of each stage, the GNF's size and the distinct displacements'
-  pair count;
+  seconds of each stage, the GNF's size, the distinct displacements'
+  pair count, and the sweep's distinct state sets and byte steps;
 - verify: ``--seed/--steps/--runs`` for the fuzz, ``--congruence-pairs/-bound``;
 - bench: ``--seed/--steps/--runs`` for the fuzz;
 - inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``.
@@ -115,6 +115,8 @@ def cmd_compile(ns) -> int:
                 "budget_fallbacks": len(sweep.budget_exceeded),
                 "gnf_productions": len(gnf.productions),
                 "pairs": pairs,
+                "state_sets": sweep.state_sets,
+                "steps": sweep.steps,
                 **stages,
                 "wall_s": wall,
                 "cache": str(cache_path),
@@ -123,6 +125,7 @@ def cmd_compile(ns) -> int:
                     f"ratio={tbl.compression_ratio():.2f}:1 "
                     f"fallbacks={len(sweep.budget_exceeded)} "
                     f"gnf_productions={len(gnf.productions)} pairs={pairs} "
+                    f"state_sets={sweep.state_sets} steps={sweep.steps} "
                     + " ".join(f"{k}={v:.3f}" for k, v in stages.items())
                     + f" wall={wall:.2f}s cache={cache_path}"
                 ),
@@ -381,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=10_000_000,
-            help="cap on search states expanded along one token's bytes",
+            help="cap on search states expanded along one token's bytes, "
+            "plus the next step's bound on what it builds",
         )
 
     def fuzz(p):

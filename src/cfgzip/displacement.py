@@ -1,4 +1,4 @@
-"""Stack displacements, found by a forward walk over a byte trie of tokens.
+"""Stack displacements, found by a forward walk memoised on state sets.
 
 A token's displacement is the set of (input stack, output stack) pairs
 the PDA can realise while consuming exactly that token: the input stack
@@ -30,18 +30,21 @@ compares and hashes without decoding.  Tokens with equal keys share one
 tracked by the cyclic collector, so what a sweep leaves alive is a few
 objects per distinct displacement, not one tuple per pair.
 
-A state set depends only on the bytes consumed so far, so the sweep walks
-the distinct tokens in sorted byte order and keeps one state set per
-depth: each token starts from the deepest state set it shares with the
-token before it.  The node budget counts the states expanded along a
-token's bytes, its shared prefix included, so a token's outcome does not
-depend on the tokens swept with it.  Once a prefix is over budget, every
-token extending it is a fallback and is not walked again.
+A state set depends only on its own content and the next byte, not on
+the prefix that reached it.  So one walk (``_Walker``) interns state sets
+by content and memoises each byte step on (state set, byte): a step runs
+once however many tokens, or different prefixes, reach it.  The memo
+lives for one call.  The node budget is per token, along the token's
+own bytes: before each step, the states expanded so far plus an upper
+bound on what the step builds must stay within it.  So a token's outcome
+does not depend on the tokens swept with it, and no step builds more
+than the budget.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,12 +56,13 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The walk over one token expanded more states than its node budget."""
+    """The walk over one token would pass its node budget: the states
+    expanded plus the next step's bound on what it builds."""
 
     def __init__(self, token: bytes, budget: int):
         self.token = token
         self.budget = budget
-        super().__init__(f"displacement walk for token {token!r} exceeded {budget} states")
+        super().__init__(f"displacement walk for token {token!r} exceeded its node budget {budget}")
 
 
 @lru_cache(maxsize=16)
@@ -163,11 +167,11 @@ class Displacement:
         return max((len(code) - code.index(sep) - 1 for code in self.key), default=0)
 
 
-# The state set before any byte, keyed by its previous symbol and output
-# stack (see _step): no previous symbol (coded as the separator), an empty
-# output stack and one empty input queue; and the states expanded to reach it.
-def _start(g: GnfGrammar) -> tuple[dict, int]:
-    return {chr(len(g.nonterminals)): frozenset({""})}, 0
+def _start(g: GnfGrammar) -> dict:
+    """The state set before any byte, keyed by its previous symbol and
+    output stack (see _step): no previous symbol (coded as the separator),
+    an empty output stack and one empty input queue."""
+    return {chr(len(g.nonterminals)): frozenset({""})}
 
 
 def _coded_after(g: GnfGrammar, adj: StackAdjacency | None) -> dict[str, frozenset]:
@@ -194,6 +198,20 @@ def _backtracks(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int)
         for head, tail in g.coded_by_byte.get(byte, ()):
             if allowed is None or head in allowed:
                 yield head, tail, queues
+
+
+def _weights(states: dict) -> tuple[dict[str, int], dict[str, int]]:
+    """The queues of a state set counted per symbol a byte step reads:
+    per top of a non-empty output stack, and per previous symbol of a
+    state with an empty one (whose key is that symbol alone)."""
+    tops: dict[str, int] = {}
+    empty: dict[str, int] = {}
+    for key, queues in states.items():
+        if len(key) == 1:
+            empty[key] = len(queues)
+        else:
+            tops[key[1]] = tops.get(key[1], 0) + len(queues)
+    return tops, empty
 
 
 def _step(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int) -> dict:
@@ -239,27 +257,6 @@ def _last_step(states: dict, byte: int, g: GnfGrammar, after: dict, depth: int) 
     return frozenset(pairs)
 
 
-def _walk(levels: list, token: bytes, g: GnfGrammar, after: dict, budget: int) -> frozenset | None:
-    """Walk ``token`` on from the deepest state set in ``levels``; return
-    its coded pairs.
-
-    ``levels[d]`` holds the state set after ``token[:d]`` and the states
-    expanded to reach it; one level is appended per byte but the last.
-    Returns None, leaving the levels reached so far, once more than
-    ``budget`` states would be expanded, the last byte's included.
-    """
-    for byte in token[len(levels) - 1 : -1]:
-        states, expanded = levels[-1]
-        expanded += len(states)
-        if expanded > budget:
-            return None
-        levels.append((_step(states, byte, g, after, len(levels)), expanded))
-    states, expanded = levels[-1]
-    if expanded + len(states) > budget:
-        return None
-    return _last_step(states, token[-1], g, after, len(token))
-
-
 def _trivial(token: bytes, g: GnfGrammar) -> frozenset | None:
     """The key of a token that needs no walk, else None."""
     if not token:
@@ -269,6 +266,107 @@ def _trivial(token: bytes, g: GnfGrammar) -> frozenset | None:
     if not g.alphabet.issuperset(token):
         return frozenset()
     return None
+
+
+class _Walker:
+    """The walk of one call, memoised on interned state sets.
+
+    A state set depends only on the bytes consumed so far, and equal state
+    sets step alike, so each distinct state set gets an id and each byte
+    step is keyed on (id, byte): ``steps`` maps it to the next state set's
+    id, ``lasts`` (a token's last byte) to the token's shared
+    ``Displacement``.  Each key runs ``_step`` or ``_last_step`` once,
+    however many tokens reach it.  Every entry also holds the step's
+    charge; its result stays None until a token can afford it.
+
+    The node budget is per token.  Before each step, the states expanded
+    along the token's own bytes so far, this step's included, plus an
+    upper bound on the entries the step builds (per state, its tails times
+    its queues, plus its backtracks times its queues) must stay within it.
+    So no step builds more than the budget, and a token's outcome does not
+    depend on the tokens walked with it.  The memo links state sets by id,
+    not by reference, so it holds no cycles and dies with the walker at
+    the end of the call.
+    """
+
+    def __init__(self, g: GnfGrammar, adj: StackAdjacency | None, budget: int):
+        self.g = g
+        self.after = _coded_after(g, adj)
+        self.budget = budget
+        start = _start(g)
+        self.ids: dict[frozenset, int] = {frozenset(start.items()): 0}
+        self.sets: list[dict] = [start]
+        self.weights: list[tuple] = [_weights(start)]
+        self.steps: dict[int, tuple] = {}  # id * 256 + byte -> (charge, next id)
+        self.lasts: dict[int, tuple] = {}  # id * 256 + byte -> (charge, Displacement)
+        self.heads: dict[int, Counter] = {}  # byte -> productions per coded head
+        self.backtracks: dict[tuple, int] = {}  # (previous symbol, byte) -> backtracks
+        self.shared: dict[frozenset, Displacement] = {}
+        self.built = 0  # the steps computed, last steps included
+
+    def _bound(self, sid: int, byte: int) -> int:
+        """An upper bound on the entries a step on ``byte`` builds from
+        state set ``sid``."""
+        tops, empty = self.weights[sid]
+        delta = self.g.coded_delta.get(byte, {})
+        n = sum(w * len(delta.get(top, ())) for top, w in tops.items())
+        for prev, w in empty.items():
+            k = self.backtracks.get((prev, byte))
+            if k is None:
+                heads = self.heads.get(byte)
+                if heads is None:
+                    productions = self.g.coded_by_byte.get(byte, ())
+                    heads = self.heads[byte] = Counter(h for h, _ in productions)
+                allowed = self.after.get(prev)
+                k = sum(c for h, c in heads.items() if allowed is None or h in allowed)
+                self.backtracks[prev, byte] = k
+            n += w * k
+        return n
+
+    def _shared(self, codes: frozenset) -> Displacement:
+        d = self.shared.get(codes)
+        if d is None:
+            d = self.shared[codes] = Displacement(codes, self.g.nonterminals)
+        return d
+
+    def walk(self, token: bytes) -> Displacement | None:
+        """The token's displacement, or None once it is over budget."""
+        codes = _trivial(token, self.g)
+        if codes is not None:
+            return self._shared(codes)
+        g, after = self.g, self.after
+        sid, expanded = 0, 0
+        for depth, byte in enumerate(token, 1):
+            states = self.sets[sid]
+            expanded += len(states)
+            last = depth == len(token)
+            memo = self.lasts if last else self.steps
+            key = sid * 256 + byte
+            charge, result = memo.get(key) or (None, None)
+            if charge is None:
+                charge = self._bound(sid, byte)
+                memo[key] = (charge, None)
+            if expanded + charge > self.budget:
+                return None
+            if result is None:
+                self.built += 1
+                if last:
+                    result = self._shared(_last_step(states, byte, g, after, depth))
+                else:
+                    result = self._intern(_step(states, byte, g, after, depth))
+                memo[key] = (charge, result)
+            if last:
+                return result
+            sid = result
+
+    def _intern(self, states: dict) -> int:
+        content = frozenset(states.items())
+        sid = self.ids.get(content)
+        if sid is None:
+            sid = self.ids[content] = len(self.sets)
+            self.sets.append(states)
+            self.weights.append(_weights(states))
+        return sid
 
 
 def compute_displacement(
@@ -281,14 +379,13 @@ def compute_displacement(
 
     Passing ``adj=None`` disables backtrack pruning (the raw search),
     which explores every hypothetical input stack.  Raises
-    SearchBudgetExceeded when more than ``budget`` states are expanded.
+    SearchBudgetExceeded when the states expanded plus the next step's
+    bound would pass ``budget`` (see ``_Walker``).
     """
-    codes = _trivial(token, g)
-    if codes is None:
-        codes = _walk([_start(g)], token, g, _coded_after(g, adj), budget)
-        if codes is None:
-            raise SearchBudgetExceeded(token, budget)
-    return Displacement(codes, g.nonterminals)
+    d = _Walker(g, adj, budget).walk(token)
+    if d is None:
+        raise SearchBudgetExceeded(token, budget)
+    return d
 
 
 def compute_displacement_annotated(
@@ -403,10 +500,17 @@ def trace_displacement(
 
 @dataclass
 class SweepResult:
-    """Displacements for a whole vocabulary plus budget bookkeeping."""
+    """Displacements for a whole vocabulary plus budget bookkeeping.
+
+    ``state_sets`` counts the distinct state sets the walk built (the
+    start included) and ``steps`` the byte steps it computed, last bytes
+    included; each is computed once per distinct (state set, byte).
+    """
 
     displacements: list
     budget_exceeded: list
+    state_sets: int = 0
+    steps: int = 0
 
 
 def compute_all_displacements(
@@ -418,16 +522,17 @@ def compute_all_displacements(
     """Displacement sweep over a vocabulary.
 
     Byte-identical tokens are computed once, and the distinct tokens are
-    walked in sorted byte order, each from the deepest state set it shares
-    with the token walked before it.  Every token's displacement equals
-    ``compute_displacement``'s, budget included: tokens that blow the
-    budget get ``None`` entries (the class table gives them safe singleton
-    classes), and the sweep itself never aborts.
+    walked in sorted byte order through one memo of byte steps (see
+    ``_Walker``), so a step is computed once however many tokens reach
+    it.  Every token's displacement equals ``compute_displacement``'s,
+    budget included: tokens that blow the budget get ``None`` entries (the
+    class table gives them safe singleton classes), and the sweep itself
+    never aborts.
 
     The cyclic garbage collector is paused during the sweep and left as
     the caller had it.  The sweep builds no reference cycles, but it
     allocates a set of input queues per state, and collections triggered
-    by those allocations would traverse the live levels over and over
+    by those allocations would traverse the live memo over and over
     (about a tenth of the sweep on the expression grammar's Paull GNF).
     """
     enabled = gc.isenabled()
@@ -442,33 +547,12 @@ def compute_all_displacements(
 def _sweep(
     tokens: list[bytes], g: GnfGrammar, adj: StackAdjacency | None, budget: int
 ) -> SweepResult:
-    distinct: dict[bytes, Displacement | None] = dict.fromkeys(tokens)
-    shared_by_key: dict[frozenset, Displacement] = {}
-    after = _coded_after(g, adj)
-    levels = [_start(g)]
-    path = b""  # the bytes walked to reach levels[-1]
-    over: bytes | None = None  # the last prefix found over budget
-    for t in sorted(distinct):
-        codes = _trivial(t, g)
-        if codes is None:
-            if over is not None and t.startswith(over):
-                continue
-            shared = 0
-            for a, b in zip(path, t):
-                if a != b:
-                    break
-                shared += 1
-            del levels[shared + 1 :]
-            codes = _walk(levels, t, g, after, budget)
-            if codes is None:
-                over = t[: len(levels)]
-            path = t[: len(levels) - 1]
-        if codes is not None:
-            d = shared_by_key.get(codes)
-            if d is None:
-                d = shared_by_key[codes] = Displacement(codes, g.nonterminals)
-            distinct[t] = d
-
+    walker = _Walker(g, adj, budget)
+    distinct = {t: walker.walk(t) for t in sorted(dict.fromkeys(tokens))}
     displacements = [distinct[t] for t in tokens]
-    exceeded = [i for i, d in enumerate(displacements) if d is None]
-    return SweepResult(displacements=displacements, budget_exceeded=exceeded)
+    return SweepResult(
+        displacements=displacements,
+        budget_exceeded=[i for i, d in enumerate(displacements) if d is None],
+        state_sets=len(walker.sets),
+        steps=walker.built,
+    )

@@ -117,6 +117,10 @@ def grammar_name(request) -> str:
     return request.param
 
 
+# Every shape ``random_grammars`` draws.
+SHAPES = ("free", "left", "right", "byte", "unit", "eps")
+
+
 @st.composite
 def random_grammars(draw, shapes):
     """A random validated grammar and the alphabet drawn for it.

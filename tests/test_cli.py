@@ -10,10 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from cfgzip import Vocabulary, load_cache, load_vocabulary, save_cache
+from cfgzip import (
+    Vocabulary,
+    build_stack_adjacency,
+    compute_all_displacements,
+    load_cache,
+    load_vocabulary,
+    save_cache,
+    to_gnf,
+)
 from cfgzip.cli import build_parser, main
 
-from conftest import GRAMMARS, rewrite_cache_id, suite_vocabulary
+from conftest import GRAMMARS, rewrite_cache_id, suite_grammar, suite_vocabulary
 
 
 @pytest.fixture()
@@ -70,13 +78,23 @@ def test_compile_reports_stage_breakdown(tmp_path, capsys):
     assert run_cli(*compile_args(grammar, vocab, cache, "--format", "json-lines")) == 0
     rec = json.loads(capsys.readouterr().out.strip())
     stages = ["gnf_s", "adjacency_s", "sweep_s", "classing_s", "save_s"]
-    for key in stages + ["gnf_productions", "pairs", "wall_s"]:
+    counts = ["gnf_productions", "pairs", "state_sets", "steps"]
+    for key in stages + counts + ["wall_s"]:
         assert rec[key] >= 0, key
     assert sum(rec[k] for k in stages) <= rec["wall_s"]
-    assert rec["gnf_productions"] > 0 and rec["pairs"] > 0
+    assert all(rec[k] > 0 for k in counts)
+    # The sweep's counters are its own: one step per distinct (state set,
+    # byte), fewer than the bytes of the walked tokens.
+    gnf = to_gnf(suite_grammar("arith"))
+    tokens = suite_vocabulary("arith").tokens
+    sweep = compute_all_displacements(tokens, gnf, build_stack_adjacency(gnf))
+    assert (rec["state_sets"], rec["steps"]) == (sweep.state_sets, sweep.steps)
+    walked = sum(len(t) for t in set(tokens) if gnf.alphabet.issuperset(t))
+    assert rec["state_sets"] <= rec["steps"] < walked
     assert run_cli(*compile_args(grammar, vocab, cache)) == 0
     text = capsys.readouterr().out
-    assert all(f"{k}=" in text for k in stages + ["gnf_productions", "pairs"])
+    assert all(f"{k}=" in text for k in stages + counts)
+    assert f"state_sets={rec['state_sets']} steps={rec['steps']} " in text
 
 
 def test_compile_bad_grammar_exits_2(tmp_path, capsys):
@@ -345,7 +363,15 @@ def test_compressed_unaffected_by_byte_duplicates(tmp_path, capsys):
     v1 = tmp_path / "v1.vocab"
     v1.write_text(base.render())
     doubled = base.tokens[: base.eos_id] * 2 + (base.tokens[base.eos_id],)
-    from cfgzip import Vocabulary, load_cache, load_vocabulary, save_cache
+    from cfgzip import (
+    Vocabulary,
+    build_stack_adjacency,
+    compute_all_displacements,
+    load_cache,
+    load_vocabulary,
+    save_cache,
+    to_gnf,
+)
 
     v2 = tmp_path / "v2.vocab"
     v2.write_text(
@@ -430,23 +456,23 @@ def test_inspect_dump_adjacency_reads_only_the_grammar(dyck1_files, tmp_path, ca
 
 
 def test_inspect_tags_budget_fallbacks(tmp_path, capsys):
-    # At budget 20 the mini_c sweep gives 173 tokens singleton classes; the
+    # At budget 50 the mini_c sweep gives 137 tokens singleton classes; the
     # listing re-sweeps their representatives and tags them instead of raising.
     grammar = tmp_path / "mini.cfg"
     grammar.write_text(GRAMMARS["mini_c"] + "\n")
     vocab = tmp_path / "mini.vocab"
     vocab.write_text(suite_vocabulary("mini_c").render())
     cache = tmp_path / "mini.czc"
-    assert run_cli(*compile_args(grammar, vocab, cache, "--budget", "20")) == 0
+    assert run_cli(*compile_args(grammar, vocab, cache, "--budget", "50")) == 0
     capsys.readouterr()
     rc = run_cli(
         "inspect", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
-        "--budget", "20", "--format", "json-lines",
+        "--budget", "50", "--format", "json-lines",
     )
     assert rc == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
     fallbacks = [r for r in lines if "budget fallback" in r.get("tags", [])]
-    assert len(fallbacks) == 173
+    assert len(fallbacks) == 137
     assert all(r["size"] == 1 for r in fallbacks)
 
 

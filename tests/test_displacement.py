@@ -1,7 +1,13 @@
 """Displacement search: goldens, pruning losslessness, budgets."""
 
 import gc
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +15,8 @@ from hypothesis import strategies as st
 
 from cfgzip import (
     Displacement,
+    GnfSizeError,
+    GrammarError,
     SearchBudgetExceeded,
     Vocabulary,
     build_class_table,
@@ -24,8 +32,10 @@ from cfgzip import (
 
 from conftest import (
     GRAMMARS,
+    SHAPES,
     figure_grammar,
     hosted_figure_grammar,
+    random_grammars,
     suite_grammar,
     suite_vocabulary,
 )
@@ -214,7 +224,7 @@ def test_sweep_matches_per_token(grammar_name, pruned):
 
 
 def test_sweep_budget_fallbacks_match_per_token():
-    # Budget 50 is over the walk of about a quarter of mini_c's tokens.
+    # Budget 50 is over the walk of about a third of mini_c's tokens.
     gnf = to_gnf(suite_grammar("mini_c"))
     tokens = suite_vocabulary("mini_c").tokens
     sweep = compute_all_displacements(tokens, gnf, None, budget=50)
@@ -225,14 +235,14 @@ def test_sweep_budget_fallbacks_match_per_token():
 
 
 def test_sweep_after_fallback_restarts_from_shared_prefix():
-    # "x=01;x=1;" runs out of budget at "x=01;x="; the tokens sorted after
-    # it share parts of its prefix and must not see state sets left over
-    # from its walk.
+    # "x=01;x=1;" runs out of budget at "x=01;x=": the step on "1" from
+    # there would build about 267k entries.  The tokens sorted after it
+    # share parts of its prefix and must still be walked from the memo.
     gnf = to_gnf(suite_grammar("mini_c"))
     tokens = [b"x=01;x=1;", b"x=01;x=1;y", b"x=01;x", b"x=01;y", b"x=1;x=0;", b"x=1", b"y=1"]
-    sweep = compute_all_displacements(tokens, gnf, None, budget=450)
+    sweep = compute_all_displacements(tokens, gnf, None, budget=100_000)
     assert sweep.budget_exceeded == [0, 1]
-    assert sweep.displacements[2:] == per_token(tokens[2:], gnf, None, budget=450)
+    assert sweep.displacements[2:] == per_token(tokens[2:], gnf, None, budget=100_000)
 
 
 def test_sweep_prefix_over_budget_fails_every_extension():
@@ -398,3 +408,94 @@ def test_sweep_keeps_no_object_per_pair():
             gc.enable()
     assert pairs > 100 * len(tokens)
     assert grown <= 2 * len(tokens) + 10, (grown, pairs)
+
+
+def test_sweep_steps_once_per_state_set_and_byte(monkeypatch):
+    # Each (state-set content, byte) is stepped once, however many tokens
+    # or prefixes reach it, and the memo does not outlive the call.
+    from cfgzip import displacement
+
+    calls = []
+    for name in ("_step", "_last_step"):
+
+        def counted(states, byte, *rest, real=getattr(displacement, name), name=name):
+            calls.append((name, frozenset(states.items()), byte))
+            return real(states, byte, *rest)
+
+        monkeypatch.setattr(displacement, name, counted)
+    gnf, adj = compiled("json_mini")
+    tokens = suite_vocabulary("json_mini", long_tokens=20).tokens
+    sweep = compute_all_displacements(tokens, gnf, adj)
+    assert len(calls) == len(set(calls)) == sweep.steps
+    assert sweep.state_sets == len({states for _, states, _ in calls})
+    walked = sum(len(t) for t in set(tokens) if t and gnf.alphabet.issuperset(t))
+    assert sweep.steps < walked / 2
+    monkeypatch.undo()
+    assert sweep.displacements == per_token(tokens, gnf, adj)
+    again = compute_all_displacements(tokens, gnf, adj)
+    assert (again.state_sets, again.steps) == (sweep.state_sets, sweep.steps)
+
+
+@st.composite
+def random_sweeps(draw):
+    """A random grammar, and a shuffled vocabulary of every string of one
+    to three bytes over its alphabet, a few longer ones, a foreign byte
+    and the empty token."""
+    g, alphabet = draw(random_grammars(SHAPES))
+    tokens = [bytes(p) for n in range(1, 4) for p in itertools.product(alphabet, repeat=n)]
+    longer = st.lists(st.sampled_from(alphabet), min_size=4, max_size=6).map(bytes)
+    tokens += draw(st.lists(longer, max_size=4)) + [b"", b"az"]
+    return g, draw(st.permutations(tokens))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(random_sweeps())
+def test_sweep_equals_per_token_on_random_grammars(drawn):
+    # Budget 10,000 gives fallbacks on about one grammar in fifty and
+    # budget 100 on about one in seven; they must fall on the same tokens
+    # however the tokens are swept.
+    g, tokens = drawn
+    try:
+        gnf = to_gnf(g, max_productions=400)
+    except (GrammarError, GnfSizeError):
+        return
+    adj = build_stack_adjacency(gnf)
+    for budget in (10_000, 100):
+        expected = per_token(tokens, gnf, adj, budget)
+        sweep = compute_all_displacements(tokens, gnf, adj, budget)
+        assert sweep.displacements == expected
+        assert sweep.budget_exceeded == [i for i, d in enumerate(expected) if d is None]
+        alone = [compute_all_displacements([t], gnf, adj, budget).displacements[0] for t in tokens]
+        assert alone == expected
+
+
+# The node budget once bounded only the states expanded, not what a step
+# builds: on this grammar the last step of "aaa" starts from 62,436 states
+# holding 107,042 queues, and the sweep ran out of memory.
+BLOWUP = 'n0 ::= n0 n1 | n1 "a" n2 | n0 n0 "a"\nn1 ::= "" | n0\nn2 ::= "" | n0\n'
+
+
+def test_step_bound_keeps_the_default_budget_within_memory():
+    resource = pytest.importorskip("resource")
+    assert resource  # the child process sets the limit
+    code = textwrap.dedent(
+        f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1_200_000_000, 1_200_000_000))
+        from cfgzip import (
+            build_stack_adjacency, compute_all_displacements, parse_grammar, to_gnf, validate
+        )
+        gnf = to_gnf(validate(parse_grammar({BLOWUP!r})))
+        tokens = [b"a", b"aa", b"aaa", b"aaaa"]
+        sweep = compute_all_displacements(tokens, gnf, build_stack_adjacency(gnf))
+        print(sweep.budget_exceeded)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[2, 3]"

@@ -37,6 +37,7 @@ from cfgzip import (
 
 from conftest import (
     GRAMMARS,
+    SHAPES,
     carried_items,
     counting_closes,
     earley_item_sets,
@@ -468,10 +469,6 @@ def test_trie_walk_shares_closes_inside_a_string():
     with counting_closes() as closed:
         compute_mask_compressed(s, tbl, vocab)
     assert 0 < sum(closed.values()) < len(accepted)
-
-
-# Every shape ``random_grammars`` draws.
-SHAPES = ("free", "left", "right", "byte", "unit", "eps")
 
 
 def short_string_vocabulary(alphabet):
