@@ -7,7 +7,8 @@ Every subcommand reads ``--grammar``, ``--vocab``, ``--cache`` and
   seconds of each stage, the GNF's size, the distinct displacements'
   pair count, and the sweep's distinct state sets and byte steps;
 - verify: ``--seed/--steps/--runs`` for the fuzz, ``--congruence-pairs/-bound``;
-- bench: ``--seed/--steps/--runs`` for the fuzz;
+- bench: ``--seed/--steps/--runs`` for the fuzz; a mask mismatch in it
+  is a verification failure;
 - inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``.
 
 Exit codes are a stable contract: 0 success, 1 verification failure
@@ -52,10 +53,11 @@ EXIT_INPUT_ERROR = 2
 
 def _emit(records, fmt: str):
     for rec in records:
+        text = rec.pop("_text", None)
         if fmt == "json-lines":
             print(json.dumps(rec, sort_keys=True))
         else:
-            print(rec.pop("_text", None) or " ".join(f"{k}={v}" for k, v in rec.items()))
+            print(text or " ".join(f"{k}={v}" for k, v in rec.items()))
 
 
 def _load_grammar(ns):
@@ -236,6 +238,7 @@ def cmd_bench(ns) -> int:
     report = _fuzz(ns, g, vocab, tbl)
     all_naive, all_comp = report.mask_times_ns(exclude_stuck=True)
     stuck = sum(1 for r in report.runs if r.outcome == "stuck")
+    mismatches = report.total_mismatches
     records = []
     for run in report.runs:
         run_naive = [st.naive_ns for st in run.steps]
@@ -271,15 +274,17 @@ def cmd_bench(ns) -> int:
         "compressed": cstats,
         "speedup": speedup,
         "stuck_runs_excluded": stuck,
+        "mask_mismatches": mismatches,
         "_text": (
             f"|T|={tbl.token_count} |E|={tbl.class_count} "
             f"naive mean={nstats['mean_us']}us p50={nstats['p50_us']}us p99={nstats['p99_us']}us | "
             f"compressed mean={cstats['mean_us']}us p50={cstats['p50_us']}us "
-            f"p99={cstats['p99_us']}us | speedup={speedup}x stuck_excluded={stuck}"
+            f"p99={cstats['p99_us']}us | speedup={speedup}x stuck_excluded={stuck} "
+            f"mismatches={mismatches}"
         ),
     }
     _emit(records + [summary], ns.format)
-    return EXIT_OK
+    return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
 
 
 def cmd_inspect(ns) -> int:

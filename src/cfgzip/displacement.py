@@ -45,9 +45,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .adjacency import StackAdjacency
 from .gnf import GnfGrammar
@@ -65,29 +63,18 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"displacement walk for token {token!r} exceeded its node budget {budget}")
 
 
-@lru_cache(maxsize=16)
-def _index(names: tuple[str, ...]) -> dict[str, str]:
-    return {nt: chr(i) for i, nt in enumerate(names)}
-
-
-def _encode(q, out, names: tuple[str, ...]) -> str:
-    """The pair string of input stack ``q`` and output stack ``out``, given as names."""
-    code = _index(names).__getitem__
-    return "".join(map(code, out)) + chr(len(names)) + "".join(map(code, q))
-
-
 def _decode(pair: str, names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The (input stack, output stack) names of a pair string."""
     out, _, q = pair.partition(chr(len(names)))
     return tuple(names[ord(c)] for c in q), tuple(names[ord(c)] for c in out)
 
 
-class CodedPairs(Set):
+class CodedPairs:
     """A read-only view of pair strings as (input stack, output stack) names.
 
-    ``len`` and membership read the strings; iterating decodes one pair
-    at a time.  It compares equal to the frozenset of the name tuples, set
-    operators return plain frozensets, and it is not hashable.
+    ``len`` counts the strings without decoding them; iterating decodes
+    one pair at a time, so ``frozenset``, ``sorted`` and ``in`` read the
+    names.  It defines no comparison of its own: compare ``frozenset(view)``.
     """
 
     __slots__ = ("codes", "names")
@@ -102,26 +89,6 @@ class CodedPairs(Set):
     def __iter__(self):
         return (_decode(code, self.names) for code in self.codes)
 
-    def __contains__(self, pair) -> bool:
-        try:
-            q, out = pair
-            coded = _encode(q, out, self.names)
-        except (KeyError, TypeError, ValueError):
-            return False
-        return coded in self.codes
-
-    def __eq__(self, other):
-        if isinstance(other, CodedPairs) and other.names == self.names:
-            return self.codes == other.codes
-        return Set.__eq__(self, other)
-
-    def __repr__(self) -> str:
-        return repr(frozenset(self))
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
-
 
 class Displacement:
     """Set of (input stack, output stack) pairs for one token.
@@ -130,9 +97,9 @@ class Displacement:
     grammar with nonterminals ``names`` (see ``GnfGrammar.code``), each the
     output stack, the separator ``chr(len(names))``, then the input stack.
     Equality compares ``key`` and ``names`` and the hash is ``hash(key)``:
-    nothing decodes.  ``pairs`` is a read-only ``CodedPairs`` view that
-    decodes name tuples when iterated; ``sorted_pairs`` is their canonical
-    order, used for dumps.
+    nothing decodes.  ``pairs`` is a read-only ``CodedPairs`` view whose
+    length reads the strings and which decodes name tuples when iterated;
+    ``sorted_pairs`` is their canonical order, used for dumps.
     """
 
     __slots__ = ("key", "names")
@@ -161,10 +128,6 @@ class Displacement:
 
     def sorted_pairs(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
         return sorted(self.pairs)
-
-    def max_input_len(self) -> int:
-        sep = chr(len(self.names))
-        return max((len(code) - code.index(sep) - 1 for code in self.key), default=0)
 
 
 def _start(g: GnfGrammar) -> dict:
@@ -442,8 +405,11 @@ def compute_displacement_annotated(
         return res
 
     triples = search(0, (), None)
-    raw = frozenset(_encode(a, f, g.nonterminals) for a, f, _ in triples)
-    filtered = frozenset(_encode(a, f, g.nonterminals) for a, f, ok in triples if ok)
+    code = g.code.__getitem__
+    sep = chr(len(g.nonterminals))
+    coded = {(a, f): "".join(map(code, f)) + sep + "".join(map(code, a)) for a, f, _ in triples}
+    raw = frozenset(coded.values())
+    filtered = frozenset(coded[a, f] for a, f, ok in triples if ok)
     return Displacement(raw, g.nonterminals), Displacement(filtered, g.nonterminals)
 
 

@@ -219,23 +219,18 @@ class _EngineGrammar:
                 head = heads[pid]
                 if org.pos == 0 and head == start:
                     complete = True
-                if pid in right_recursive:
-                    # Most lookups hit the memo: read it here, not in leo().
-                    memo = org.leo
-                    link = _UNSET if memo is None else memo.get(head, _UNSET)
-                    if link is _UNSET:
-                        link = self.leo(org, head)
-                    if link is not None:
-                        # Complete the chain's top instead, skipping the
-                        # items in between; item_set() puts them back.
-                        if link[3]:
-                            complete = True
-                        item = link[0]
-                        if item in items:
-                            continue
-                        items.add(item)
-                        pid, _, org = item
-                        head = heads[pid]
+                link = self.leo(org, head) if pid in right_recursive else None
+                if link is not None:
+                    # Complete the chain's top instead, skipping the
+                    # items in between; item_set() puts them back.
+                    if link[3]:
+                        complete = True
+                    item = link[0]
+                    if item in items:
+                        continue
+                    items.add(item)
+                    pid, _, org = item
+                    head = heads[pid]
                 work.extend(org.wait_map.get(head, ()))
                 shared = org.pred.wait_map.get(head)
                 if shared:
@@ -425,13 +420,10 @@ def try_advance(s: EngineState, data: bytes) -> EngineState | None:
 
 @dataclass
 class Mask:
-    """A validity bitset, tagged with the vocabulary it ranges over."""
+    """A validity bitset: over the vocabulary's tokens from the naive mask,
+    over the class table's classes from the compressed one."""
 
     bits: np.ndarray
-    space: str  # "tokens" (full vocabulary) or "classes"
-
-    def count(self) -> int:
-        return int(self.bits.sum())
 
 
 def compute_mask_naive(s: EngineState, vocab: Vocabulary) -> Mask:
@@ -443,7 +435,7 @@ def compute_mask_naive(s: EngineState, vocab: Vocabulary) -> Mask:
             bits[tid] = s.complete and tid == vocab.eos_id
         else:
             bits[tid] = try_advance(s, token) is not None
-    return Mask(bits, "tokens")
+    return Mask(bits)
 
 
 def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) -> Mask:
@@ -495,7 +487,7 @@ def compute_mask_compressed(s: EngineState, tbl: ClassTable, vocab: Vocabulary) 
                     stepped[frontier, b] = nxt
                 todo.append((nxt, sub))
     bits[accepted] = True
-    return Mask(bits, "classes")
+    return Mask(bits)
 
 
 def commit_token(

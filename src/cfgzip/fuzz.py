@@ -14,7 +14,6 @@ compressed mask blocked ends "diverged": the engine cannot commit it.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -67,17 +66,6 @@ class RunReport:
     def mismatches(self) -> int:
         return sum(1 for s in self.steps if s.masks_equal is False)
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "run": self.run_index,
-            "outcome": self.outcome,
-            "output_hex": self.output.hex(),
-            "steps": len(self.steps),
-            "mismatches": self.mismatches,
-            "first_mismatch": self.first_mismatch,
-        }
-
 
 @dataclass
 class FuzzReport:
@@ -105,10 +93,6 @@ class FuzzReport:
                 if s.compressed_ns is not None:
                     compressed.append(s.compressed_ns)
         return naive, compressed
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(r.to_json(), sort_keys=True) for r in self.runs]
-        return "\n".join(lines) + "\n" if lines else ""
 
 
 def fuzz_decode(

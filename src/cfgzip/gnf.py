@@ -113,9 +113,6 @@ class GnfGrammar:
         """Tails pushed when ``nt`` is popped on ``byte`` (empty if none)."""
         return self.delta_map.get((byte, nt), ())
 
-    def max_tail_len(self) -> int:
-        return max((len(tail) for _, _, tail in self.productions), default=0)
-
 
 def transition_function(g: GnfGrammar) -> dict[tuple[int, str], tuple[tuple[str, ...], ...]]:
     """The PDA transition function: (byte, nonterminal) -> tails.
@@ -308,29 +305,32 @@ def gnf_to_cfg(g: GnfGrammar) -> Cfg:
     )
 
 
+def _pda_run(g: GnfGrammar, w: bytes, prune: bool) -> set[tuple[str, ...]]:
+    """The stacks the nondeterministic PDA reaches from (S) on all of
+    ``w`` (non-empty); empty once no path survives.  With ``prune``, a
+    stack taller than the input left is dropped: each later byte shrinks
+    the stack by at most one, so it can never drain."""
+    states = {(g.start,)}
+    for i, byte in enumerate(w):
+        cap = len(w) - i - 1 if prune else float("inf")
+        states = {
+            tail + stack[1:]
+            for stack in states
+            if stack
+            for tail in g.delta(byte, stack[0])
+            if len(tail) + len(stack) - 1 <= cap
+        }
+        if not states:
+            break
+    return states
+
+
 def pda_accepts(g: GnfGrammar, w: bytes) -> bool:
     """Nondeterministic PDA run from stack (S): accept iff the stack is
     empty exactly when the input ends."""
     if not w:
         return g.start_derives_epsilon
-    states = {(g.start,)}
-    for i, byte in enumerate(w):
-        remaining = len(w) - i - 1
-        nxt: set[tuple[str, ...]] = set()
-        for stack in states:
-            if not stack:
-                continue
-            top, rest = stack[0], stack[1:]
-            for tail in g.delta(byte, top):
-                stack2 = tail + rest
-                # Each later byte shrinks the stack by at most one, so a
-                # stack taller than the remaining input can never drain.
-                if len(stack2) <= remaining:
-                    nxt.add(stack2)
-        states = nxt
-        if not states:
-            return False
-    return () in states
+    return () in _pda_run(g, w, prune=True)
 
 
 def pda_prefix_viable(g: GnfGrammar, w: bytes) -> bool:
@@ -339,18 +339,4 @@ def pda_prefix_viable(g: GnfGrammar, w: bytes) -> bool:
     For a GNF grammar with every nonterminal productive this is exactly
     prefix-language membership.
     """
-    if not w:
-        return True
-    states = {(g.start,)}
-    for byte in w:
-        nxt: set[tuple[str, ...]] = set()
-        for stack in states:
-            if not stack:
-                continue
-            top, rest = stack[0], stack[1:]
-            for tail in g.delta(byte, top):
-                nxt.add(tail + rest)
-        states = nxt
-        if not states:
-            return False
-    return True
+    return not w or bool(_pda_run(g, w, prune=False))

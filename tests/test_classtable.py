@@ -43,8 +43,8 @@ def test_dead_token_isolated():
     tbl = build_class_table(vocab, raw.displacements)
     # Raw sweep: "b" sits alone in the dead class ("aa" still has the
     # hypothetical two-symbol input stack), and dead means always maskable.
-    assert raw.displacements[1].pairs == frozenset()
-    assert raw.displacements[2].pairs == frozenset({(("root", "root"), ())})
+    assert frozenset(raw.displacements[1].pairs) == frozenset()
+    assert frozenset(raw.displacements[2].pairs) == frozenset({(("root", "root"), ())})
     assert len({int(x) for x in tbl.c}) == 3
     # Pruned sweep: the unrealizable stack is cut and "aa" joins the dead
     # class; both groupings are lossless, the pruned one is just coarser.

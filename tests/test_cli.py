@@ -226,17 +226,23 @@ def test_verify_checks_congruence_before_the_fuzz(tmp_path, capsys, monkeypatch)
     assert "lower the bound" in capsys.readouterr().err
 
 
-def test_verify_reports_a_mask_mismatch_ahead_of_a_refuted_pair(dyck1_files, capsys):
-    # ")" is put in the class of "(": the fuzz finds a mask mismatch at the
-    # first step and the congruence check refutes the pair.  The fuzz
-    # mismatch is the failure reported, although the pair is checked first.
-    grammar, vocab, cache = dyck1_files
+def write_lossy_cache(grammar, vocab, cache):
+    """Compile, then put ")" in the class of "(": a cache whose compressed
+    mask differs from the naive one at the first step."""
     run_cli(*compile_args(grammar, vocab, cache))
     tbl = load_cache(cache)
     tokens = load_vocabulary(vocab).tokens
     c = tbl.c.copy()
     c[tokens.index(b")")] = c[tokens.index(b"(")]
     save_cache(dataclasses.replace(tbl, c=c), cache)
+
+
+def test_verify_reports_a_mask_mismatch_ahead_of_a_refuted_pair(dyck1_files, capsys):
+    # On the lossy cache the fuzz finds a mask mismatch at the first step
+    # and the congruence check refutes the pair.  The fuzz mismatch is the
+    # failure reported, although the pair is checked first.
+    grammar, vocab, cache = dyck1_files
+    write_lossy_cache(grammar, vocab, cache)
     capsys.readouterr()
     rc = run_cli(
         "verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
@@ -264,8 +270,24 @@ def test_bench_json_lines_and_speedup(dyck1_files, capsys):
     s = summary[0]
     assert s["naive"]["mean_us"] > 0 and s["compressed"]["mean_us"] > 0
     assert s["speedup"] is not None
+    assert s["mask_mismatches"] == 0
     for r in runs:
         assert {"outcome", "steps", "naive_total_ms", "compressed_total_ms"} <= set(r)
+
+
+def test_bench_fails_on_mask_mismatches(dyck1_files, capsys):
+    grammar, vocab, cache = dyck1_files
+    write_lossy_cache(grammar, vocab, cache)
+    bench = ["bench", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
+             "--steps", "20", "--runs", "3"]
+    capsys.readouterr()
+    assert run_cli(*bench, "--format", "json-lines") == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+    summary = [r for r in lines if r["record"] == "summary"]
+    assert len(summary) == 1 and summary[0]["mask_mismatches"] > 0
+    assert run_cli(*bench) == 1
+    text = capsys.readouterr().out.strip().split("\n")[-1]
+    assert f"mismatches={summary[0]['mask_mismatches']}" in text
 
 
 def test_bench_naive_cost_scales_linearly_in_vocab(tmp_path):
@@ -546,6 +568,27 @@ def test_every_accepted_flag_is_read(dyck1_files, capsys):
             unread[command] = sorted(accepted - read)
     capsys.readouterr()
     assert unread == {}
+
+
+def test_json_lines_records_have_no_private_keys(dyck1_files, capsys):
+    # The text of a record is for text mode only: no json-lines record of
+    # any subcommand carries it, or any other key starting with "_".
+    grammar, vocab, cache = dyck1_files
+    files = ["--grammar", grammar, "--vocab", vocab, "--cache", cache, "--format", "json-lines"]
+    runs = [
+        ["compile"],
+        ["verify", "--steps", "5", "--runs", "1", "--congruence-pairs", "2"],
+        ["bench", "--steps", "5", "--runs", "2"],
+        ["inspect"],
+        ["inspect", "--token-id", "0"],
+        ["inspect", "--dump-adjacency"],
+    ]
+    for command, *extra in runs:
+        assert run_cli(command, *files, *extra) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+        assert records, command
+        for rec in records:
+            assert not [k for k in rec if k.startswith("_")], (command, extra, rec)
 
 
 @pytest.mark.parametrize("command", ["compile", "verify", "bench", "inspect"])

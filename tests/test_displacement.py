@@ -48,14 +48,14 @@ def single_rule_gnf():
 def test_single_production_single_step():
     gnf = single_rule_gnf()
     d = compute_displacement(b"a", gnf, None)
-    assert d.pairs == frozenset({(("root",), ())})
+    assert frozenset(d.pairs) == frozenset({(("root",), ())})
 
 
 def test_walkthrough_token_displacement_exact():
     # The raw search finds exactly one pair for "abcxyz"; nothing else.
     toy = figure_grammar()
     d = compute_displacement(b"abcxyz", toy, None)
-    assert d.pairs == frozenset({(("A", "X"), ("J", "K"))})
+    assert frozenset(d.pairs) == frozenset({(("A", "X"), ("J", "K"))})
 
 
 def test_walkthrough_six_step_trace():
@@ -90,12 +90,11 @@ def test_walkthrough_pruned_on_hosted_grammar():
     # admissible predecessor and the pruned set is empty.
     hosted = hosted_figure_grammar()
     adj = build_stack_adjacency(hosted)
-    assert compute_displacement(b"abcxyz", hosted, adj).pairs == frozenset(
-        {(("A", "X"), ("J", "K"))}
-    )
+    pairs = compute_displacement(b"abcxyz", hosted, adj).pairs
+    assert frozenset(pairs) == frozenset({(("A", "X"), ("J", "K"))})
     bare = figure_grammar()
     bare_adj = build_stack_adjacency(bare)
-    assert compute_displacement(b"abcxyz", bare, bare_adj).pairs == frozenset()
+    assert frozenset(compute_displacement(b"abcxyz", bare, bare_adj).pairs) == frozenset()
 
 
 def test_first_step_backtrack_is_unpruned():
@@ -103,21 +102,21 @@ def test_first_step_backtrack_is_unpruned():
     adj = build_stack_adjacency(gnf)  # empty relation
     assert adj.pairs == frozenset()
     d = compute_displacement(b"a", gnf, adj)
-    assert d.pairs == frozenset({(("root",), ())})
+    assert frozenset(d.pairs) == frozenset({(("root",), ())})
 
 
 def test_empty_token_gets_identity_displacement():
     gnf = to_gnf(suite_grammar("dyck1"))
     d = compute_displacement(b"", gnf, None)
     assert d == compute_displacement(b"", gnf, build_stack_adjacency(gnf))
-    assert d.pairs == frozenset({((), ())})
+    assert frozenset(d.pairs) == frozenset({((), ())})
     assert d.key == frozenset({chr(len(gnf.nonterminals))})
 
 
 def test_byte_outside_alphabet_is_dead_without_search():
     gnf = single_rule_gnf()
-    assert compute_displacement(b"b", gnf, None).pairs == frozenset()
-    assert compute_displacement(b"ab", gnf, None).pairs == frozenset()
+    assert frozenset(compute_displacement(b"b", gnf, None).pairs) == frozenset()
+    assert frozenset(compute_displacement(b"ab", gnf, None).pairs) == frozenset()
 
 
 def test_dyck_goldens_from_raw_search():
@@ -128,11 +127,11 @@ def test_dyck_goldens_from_raw_search():
     adj = build_stack_adjacency(gnf)
     d_open = compute_displacement(b"(", gnf, adj)
     assert len(d_open.pairs) == 8
-    assert d_open.max_input_len() == 1
+    assert max(len(q) for q, _ in d_open.pairs) == 1
     assert compute_displacement(b"(()", gnf, adj) == d_open
     d_reopen = compute_displacement(b"()(", gnf, adj)
     assert d_reopen != d_open
-    assert d_reopen.max_input_len() == 2
+    assert max(len(q) for q, _ in d_reopen.pairs) == 2
 
 
 @pytest.mark.parametrize("name", ["dyck1", "dyck2", "arith", "json_mini"])
@@ -146,8 +145,8 @@ def test_pruned_equals_filtered_raw(name):
     for token in dict.fromkeys(vocab.tokens):
         raw, filtered = compute_displacement_annotated(token, gnf, adj)
         pruned = compute_displacement(token, gnf, adj)
-        assert pruned.pairs == filtered.pairs, token
-        assert pruned.pairs <= raw.pairs, token
+        assert frozenset(pruned.pairs) == frozenset(filtered.pairs), token
+        assert frozenset(pruned.pairs) <= frozenset(raw.pairs), token
 
 
 def test_input_stack_never_longer_than_token():
@@ -156,7 +155,7 @@ def test_input_stack_never_longer_than_token():
     vocab = suite_vocabulary("dyck2", long_tokens=25)
     for token in dict.fromkeys(vocab.tokens):
         d = compute_displacement(token, gnf, adj)
-        assert d.max_input_len() <= len(token)
+        assert max((len(q) for q, _ in d.pairs), default=0) <= len(token)
 
 
 def test_budget_exceeded_raises():
@@ -181,8 +180,8 @@ def test_displacement_hash_is_order_independent():
 def test_sweep_trivial_vocab():
     gnf = single_rule_gnf()
     sweep = compute_all_displacements([b"a", b"b"], gnf, None)
-    assert sweep.displacements[0].pairs == frozenset({(("root",), ())})
-    assert sweep.displacements[1].pairs == frozenset()
+    assert frozenset(sweep.displacements[0].pairs) == frozenset({(("root",), ())})
+    assert frozenset(sweep.displacements[1].pairs) == frozenset()
     assert sweep.budget_exceeded == []
 
 
@@ -286,7 +285,7 @@ def test_sweep_per_token_and_trace_agree(drawn, pruned):
     for t in tokens:
         if len(t) <= 5:
             traced = frozenset((inq, out) for inq, out, _ in trace_displacement(t, gnf))
-            assert compute_displacement(t, gnf, None).pairs == traced, t
+            assert frozenset(compute_displacement(t, gnf, None).pairs) == traced, t
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -313,7 +312,7 @@ def test_memoized_matches_naive_recursion():
         if not token or token == b"\x00":
             continue
         naive_pairs = frozenset((inq, out) for inq, out, _ in trace_displacement(token, gnf))
-        assert compute_displacement(token, gnf, None).pairs == naive_pairs, token
+        assert frozenset(compute_displacement(token, gnf, None).pairs) == naive_pairs, token
 
 
 @st.composite
@@ -358,18 +357,22 @@ def test_coded_displacements_interoperate(drawn):
     name, vocab = drawn
     gnf, adj = compiled(name)
     sweep = compute_all_displacements(vocab.tokens, gnf, adj)
+    code, sep = gnf.code.__getitem__, chr(len(gnf.nonterminals))
     for token, d in zip(vocab.tokens, sweep.displacements):
         single = compute_displacement(token, gnf, adj)
         named = frozenset(d.pairs)
         assert d == single and hash(d) == hash(single) == hash(d.key), token
-        assert d.pairs == named and named == d.pairs, token
+        # Iterating the view decodes exactly the key's strings.
+        recoded = {"".join(map(code, out)) + sep + "".join(map(code, q)) for q, out in named}
+        assert recoded == d.key, token
         assert len(d.pairs) == len(named) and bool(d) == bool(named), token
         assert d.sorted_pairs() == sorted(named), token
-        assert d.max_input_len() == max((len(q) for q, _ in named), default=0), token
+        input_lens = (len(k) - k.index(sep) - 1 for k in d.key)
+        assert max(input_lens, default=0) == max((len(q) for q, _ in named), default=0), token
         assert all(pair in d.pairs for pair in named), token
         if len(token) <= 4:
             _, filtered = compute_displacement_annotated(token, gnf, adj)
-            assert filtered.pairs == d.pairs and filtered == d, token
+            assert frozenset(filtered.pairs) == named and filtered == d, token
     tbl = build_class_table(vocab, sweep.displacements)
     c, r = grouped_by_pairs(vocab, sweep.displacements)
     assert tbl.c.tolist() == c and tbl.r.tolist() == r
@@ -408,6 +411,27 @@ def test_sweep_keeps_no_object_per_pair():
             gc.enable()
     assert pairs > 100 * len(tokens)
     assert grown <= 2 * len(tokens) + 10, (grown, pairs)
+
+
+def test_pair_count_reads_the_strings_only(monkeypatch):
+    # The bench reads len(d.pairs) for every token: it must not decode.
+    from cfgzip import displacement
+
+    g = validate(parse_grammar(HEAVY))
+    gnf = to_gnf(g)
+    alphabet = sorted(g.alphabet)
+    tokens = [bytes([a, b]) for a in alphabet for b in alphabet]
+    disps = compute_all_displacements(tokens, gnf, build_stack_adjacency(gnf)).displacements
+
+    def no_decode(*args):
+        raise AssertionError("decoded a pair")
+
+    monkeypatch.setattr(displacement, "_decode", no_decode)
+    assert [len(d.pairs) for d in disps] == [len(d.key) for d in disps]
+    assert sum(len(d.pairs) for d in disps) > 100 * len(tokens)
+    assert [bool(d) for d in disps] == [bool(d.key) for d in disps]
+    with pytest.raises(AssertionError, match="decoded a pair"):
+        next(iter(next(d for d in disps if d).pairs))
 
 
 def test_sweep_steps_once_per_state_set_and_byte(monkeypatch):

