@@ -58,7 +58,7 @@ tbl = build_class_table(vocab, sweep.displacements)
 print(f"|T|={len(vocab)} |E|={tbl.class_count} class ratio={tbl.class_count/len(vocab):.3f}")
 
 report = fuzz_decode(g, vocab, tbl, FuzzConfig(seed=5, steps=50, runs=6))
-naive, comp = report.mask_times_ns(exclude_stuck=True)
+naive, comp = report.mask_times_ns()
 
 
 def stats(ns):

@@ -9,13 +9,17 @@ Every subcommand reads ``--grammar``, ``--vocab``, ``--cache`` and
 - verify: ``--seed/--steps/--runs`` for the fuzz, ``--congruence-pairs/-bound``;
 - bench: ``--seed/--steps/--runs`` for the fuzz; a mask mismatch in it
   is a verification failure;
-- inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``.
+- inspect: ``--budget`` for the class listing, ``--token-id``, ``--dump-adjacency``;
+  tokens print as hex ``bytes`` and as escaped ``text``.
 
 Exit codes are a stable contract: 0 success, 1 verification failure
-(a corrupt or stale cache included), 2 input error.  ``--format
-json-lines`` switches every subcommand to one JSON object per output
-record; text is the default.  The default cache location honours the
-CFGZIP_CACHE_DIR environment variable.
+(a corrupt or stale cache included), 2 input error.  Each subcommand
+builds its output records once: ``--format json-lines`` prints each as
+one JSON object, and text (the default) prints the same keys as
+``key=value`` pairs.  verify's ``first_failure`` is the first mask
+mismatch, else the first refuted pair, else the first structure problem.
+The default cache location honours the CFGZIP_CACHE_DIR environment
+variable.
 """
 
 from __future__ import annotations
@@ -52,12 +56,18 @@ EXIT_INPUT_ERROR = 2
 
 
 def _emit(records, fmt: str):
+    """Print each record: as sorted JSON, or as ``key=value`` pairs in
+    record order, where lists, dicts and None print as JSON."""
     for rec in records:
-        text = rec.pop("_text", None)
         if fmt == "json-lines":
             print(json.dumps(rec, sort_keys=True))
         else:
-            print(text or " ".join(f"{k}={v}" for k, v in rec.items()))
+            print(
+                " ".join(
+                    f"{k}={json.dumps(v) if v is None or isinstance(v, (list, dict)) else v}"
+                    for k, v in rec.items()
+                )
+            )
 
 
 def _load_grammar(ns):
@@ -122,15 +132,6 @@ def cmd_compile(ns) -> int:
                 **stages,
                 "wall_s": wall,
                 "cache": str(cache_path),
-                "_text": (
-                    f"|T|={tbl.token_count} |E|={tbl.class_count} "
-                    f"ratio={tbl.compression_ratio():.2f}:1 "
-                    f"fallbacks={len(sweep.budget_exceeded)} "
-                    f"gnf_productions={len(gnf.productions)} pairs={pairs} "
-                    f"state_sets={sweep.state_sets} steps={sweep.steps} "
-                    + " ".join(f"{k}={v:.3f}" for k, v in stages.items())
-                    + f" wall={wall:.2f}s cache={cache_path}"
-                ),
             }
         ],
         ns.format,
@@ -156,15 +157,16 @@ def cmd_verify(ns) -> int:
     for k in range(tbl.class_count):
         rid = int(tbl.r[k])
         if int(tbl.c[rid]) != k:
-            problems.append(f"class {k}: representative {rid} maps to class {int(tbl.c[rid])}")
+            problem = f"representative {rid} is in class {int(tbl.c[rid])}"
+            problems.append({"class": k, "problem": problem})
     members = tbl.class_members()
     for k, mem in enumerate(members):
         if not mem:
-            problems.append(f"class {k} is empty")
+            problems.append({"class": k, "problem": "empty"})
             continue
         rep_len = len(vocab.tokens[int(tbl.r[k])])
         if any(len(vocab.tokens[m]) < rep_len for m in mem):
-            problems.append(f"class {k}: representative is not byte-shortest")
+            problems.append({"class": k, "problem": "representative is not byte-shortest"})
 
     # Refinement spot check: same-class pairs must never be refuted.  It
     # runs before the fuzz, so a grammar the oracle refuses to enumerate
@@ -192,10 +194,14 @@ def cmd_verify(ns) -> int:
                         first_refuted = {"class": k, "rep": rep_tok.hex(), "member": tok.hex()}
 
     # Losslessness sweep: expanded compressed masks must equal naive masks.
-    # Its first mismatch is reported ahead of a refuted pair.
+    # The first failure reported is a mask mismatch, else a refuted pair,
+    # else a structure problem.
     report = _fuzz(ns, g, vocab, tbl)
     mismatches = report.total_mismatches
-    first = next((run.first_mismatch for run in report.runs if run.first_mismatch), first_refuted)
+    first = next(
+        (run.first_mismatch for run in report.runs if run.first_mismatch),
+        first_refuted or next(iter(problems), None),
+    )
 
     ok = not problems and mismatches == 0 and refuted == 0
     _emit(
@@ -208,12 +214,6 @@ def cmd_verify(ns) -> int:
                 "congruence_refuted": refuted,
                 "first_failure": first,
                 "ok": ok,
-                "_text": (
-                    f"steps={report.total_steps} mismatches={mismatches} "
-                    f"structure_problems={len(problems)} "
-                    f"congruence_pairs={checked_pairs} refuted={refuted} "
-                    f"{'OK' if ok else 'FAIL ' + str(first or problems[:1])}"
-                ),
             }
         ],
         ns.format,
@@ -236,7 +236,7 @@ def cmd_bench(ns) -> int:
     g, vocab, gdig, vdig = _load_inputs(ns)
     tbl = _load_cache_for(ns, gdig, vdig)
     report = _fuzz(ns, g, vocab, tbl)
-    all_naive, all_comp = report.mask_times_ns(exclude_stuck=True)
+    all_naive, all_comp = report.mask_times_ns()
     stuck = sum(1 for r in report.runs if r.outcome == "stuck")
     mismatches = report.total_mismatches
     records = []
@@ -252,15 +252,8 @@ def cmd_bench(ns) -> int:
                 "steps": len(run.steps),
                 "naive_total_ms": round(sum(run_naive) / 1e6, 3),
                 "compressed_total_ms": round(sum(run_comp) / 1e6, 3),
-                "_text": (
-                    f"run seed={run.seed}/{run.run_index} {run.outcome} "
-                    f"steps={len(run.steps)} naive={sum(run_naive)/1e6:.2f}ms "
-                    f"compressed={sum(run_comp)/1e6:.2f}ms"
-                ),
             }
         )
-    nstats = _quantiles(all_naive)
-    cstats = _quantiles(all_comp)
     speedup = (
         round(statistics.fmean(all_naive) / statistics.fmean(all_comp), 2)
         if all_comp and all_naive
@@ -270,18 +263,11 @@ def cmd_bench(ns) -> int:
         "record": "summary",
         "tokens": tbl.token_count,
         "classes": tbl.class_count,
-        "naive": nstats,
-        "compressed": cstats,
+        "naive": _quantiles(all_naive),
+        "compressed": _quantiles(all_comp),
         "speedup": speedup,
         "stuck_runs_excluded": stuck,
         "mask_mismatches": mismatches,
-        "_text": (
-            f"|T|={tbl.token_count} |E|={tbl.class_count} "
-            f"naive mean={nstats['mean_us']}us p50={nstats['p50_us']}us p99={nstats['p99_us']}us | "
-            f"compressed mean={cstats['mean_us']}us p50={cstats['p50_us']}us "
-            f"p99={cstats['p99_us']}us | speedup={speedup}x stuck_excluded={stuck} "
-            f"mismatches={mismatches}"
-        ),
     }
     _emit(records + [summary], ns.format)
     return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
@@ -291,13 +277,7 @@ def cmd_inspect(ns) -> int:
     if ns.dump_adjacency:
         g, _ = _load_grammar(ns)
         adj = build_stack_adjacency(to_gnf(g))
-        _emit(
-            [
-                {"before": y, "after": z, "_text": f"{y} {z}"}
-                for y, z in adj.sorted_pairs()
-            ],
-            ns.format,
-        )
+        _emit([{"before": y, "after": z} for y, z in adj.sorted_pairs()], ns.format)
         return EXIT_OK
 
     g, vocab, gdig, vdig = _load_inputs(ns)
@@ -314,12 +294,10 @@ def cmd_inspect(ns) -> int:
                 {
                     "token": tid,
                     "bytes": vocab.tokens[tid].hex(),
+                    "text": _escape_bytes(vocab.tokens[tid]),
                     "class": k,
                     "representative": rep,
-                    "_text": (
-                        f'token {tid} "{_escape_bytes(vocab.tokens[tid])}" -> '
-                        f'class {k} rep {rep} "{_escape_bytes(vocab.tokens[rep])}"'
-                    ),
+                    "representative_text": _escape_bytes(vocab.tokens[rep]),
                 }
             ],
             ns.format,
@@ -345,19 +323,15 @@ def cmd_inspect(ns) -> int:
             tags.append("budget fallback")
         elif not disps[k]:
             tags.append("never valid")
-        sample = [f'"{_escape_bytes(vocab.tokens[m])}"' for m in members[k][:5]]
         records.append(
             {
                 "class": k,
                 "representative": rep_id,
                 "bytes": rep_bytes.hex(),
+                "text": _escape_bytes(rep_bytes),
                 "size": len(members[k]),
+                "members": [_escape_bytes(vocab.tokens[m]) for m in members[k][:5]],
                 "tags": tags,
-                "_text": (
-                    f'class {k}: rep "{_escape_bytes(rep_bytes)}" size={len(members[k])} '
-                    f"members=[{', '.join(sample)}]"
-                    + (f" [{', '.join(tags)}]" if tags else "")
-                ),
             }
         )
     non_special = tbl.token_count - sum(len(members[k]) for k in tbl.passthrough)
@@ -366,8 +340,6 @@ def cmd_inspect(ns) -> int:
             "classes": tbl.class_count,
             "tokens": tbl.token_count,
             "non_special_tokens": non_special,
-            "_text": f"{tbl.class_count} classes over {tbl.token_count} tokens "
-            f"({non_special} grammar-classed)",
         }
     )
     _emit(records, ns.format)

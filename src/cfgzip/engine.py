@@ -112,7 +112,6 @@ class _EngineGrammar:
 
     def __init__(self, g: Cfg):
         g = validate(g)
-        self.grammar = g
         self.start = g.start
         self.heads = tuple(h for h, _ in g.productions)
         self.bodies = tuple(b for _, b in g.productions)

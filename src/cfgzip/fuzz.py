@@ -44,10 +44,8 @@ class FuzzConfig:
 
 @dataclass
 class StepRecord:
-    index: int
     state_digest: str
     sampled_token: int | None
-    allowed_count: int
     masks_equal: bool | None
     naive_ns: int
     compressed_ns: int | None
@@ -69,7 +67,6 @@ class RunReport:
 
 @dataclass
 class FuzzReport:
-    config: FuzzConfig
     runs: list[RunReport] = field(default_factory=list)
 
     @property
@@ -80,13 +77,13 @@ class FuzzReport:
     def total_mismatches(self) -> int:
         return sum(r.mismatches for r in self.runs)
 
-    def mask_times_ns(self, exclude_stuck: bool = True) -> tuple[list[int], list[int]]:
-        """Per-step (naive, compressed) mask times; stuck runs excluded by
-        default so degenerate states cannot skew latency aggregates."""
+    def mask_times_ns(self) -> tuple[list[int], list[int]]:
+        """Per-step (naive, compressed) mask times; stuck runs are excluded
+        so degenerate states cannot skew latency aggregates."""
         naive: list[int] = []
         compressed: list[int] = []
         for run in self.runs:
-            if exclude_stuck and run.outcome == "stuck":
+            if run.outcome == "stuck":
                 continue
             for s in run.steps:
                 naive.append(s.naive_ns)
@@ -112,7 +109,7 @@ def fuzz_decode(
     accumulated (runs are seeded independently, so this stays deterministic).
     """
     root = new_state(g)
-    report = FuzzReport(config=cfg)
+    report = FuzzReport()
     for ri in range(cfg.runs):
         if stop_after_steps is not None and report.total_steps >= stop_after_steps:
             break
@@ -151,10 +148,8 @@ def fuzz_decode(
                 sampled = int(allowed[rng.randrange(len(allowed))])
             steps.append(
                 StepRecord(
-                    index=si,
                     state_digest=state.digest(),
                     sampled_token=sampled,
-                    allowed_count=len(allowed),
                     masks_equal=masks_equal,
                     naive_ns=t1 - t0,
                     compressed_ns=compressed_ns,

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -46,7 +47,7 @@ def test_compile_writes_cache_and_summary(dyck1_files, capsys):
     grammar, vocab, cache = dyck1_files
     assert run_cli(*compile_args(grammar, vocab, cache)) == 0
     out = capsys.readouterr().out
-    assert "|T|=" in out and "|E|=" in out and "ratio=" in out and "fallbacks=0" in out
+    assert "tokens=" in out and "classes=" in out and "ratio=" in out and "fallbacks=0" in out
     assert cache.exists()
 
 
@@ -143,7 +144,7 @@ def test_verify_fresh_cache_passes(dyck1_files, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "mismatches=0" in out and "refuted=0" in out and "OK" in out
+    assert "mismatches=0" in out and "refuted=0" in out and "ok=True" in out
 
 
 def test_verify_corrupted_cache_fails(dyck1_files, capsys):
@@ -254,6 +255,36 @@ def test_verify_reports_a_mask_mismatch_ahead_of_a_refuted_pair(dyck1_files, cap
     assert rec["first_failure"]["step"] == 0 and "rep" not in rec["first_failure"]
 
 
+def test_verify_names_a_class_whose_representative_is_not_shortest(dyck1_files, capsys):
+    # The only fault is a representative swapped for a longer member of its
+    # class: no mask mismatch, no refuted pair, one structure problem, which
+    # both formats report as the first failure.
+    grammar, vocab, cache = dyck1_files
+    run_cli(*compile_args(grammar, vocab, cache))
+    tbl = load_cache(cache)
+    tokens = load_vocabulary(vocab).tokens
+    k, longer = next(
+        (k, m)
+        for k, mem in enumerate(tbl.class_members())
+        for m in mem
+        if len(tokens[m]) > len(tokens[int(tbl.r[k])])
+    )
+    r = tbl.r.copy()
+    r[k] = longer
+    save_cache(dataclasses.replace(tbl, r=r), cache)
+    capsys.readouterr()
+    verify = ["verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache,
+              "--steps", "10", "--runs", "2"]
+    assert run_cli(*verify, "--format", "json-lines") == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["ok"] is False and rec["structure_problems"] == 1
+    assert (rec["mask_mismatches"], rec["congruence_refuted"]) == (0, 0)
+    assert rec["first_failure"]["class"] == k
+    assert run_cli(*verify) == 1
+    text = capsys.readouterr().out
+    assert f"first_failure={json.dumps(rec['first_failure'])} ok=False" in text
+
+
 def test_bench_json_lines_and_speedup(dyck1_files, capsys):
     grammar, vocab, cache = dyck1_files
     run_cli(*compile_args(grammar, vocab, cache))
@@ -311,7 +342,7 @@ def test_bench_naive_cost_scales_linearly_in_vocab(tmp_path):
             tokens=tuple(tokens), specials=frozenset({size - 1}), eos_id=size - 1
         )
         report = fuzz_decode(g, vocab, None, FuzzConfig(seed=4, steps=12, runs=2))
-        naive, _ = report.mask_times_ns(exclude_stuck=False)
+        naive, _ = report.mask_times_ns()
         means.append(sum(naive) / len(naive))
     x = np.array(sizes, dtype=float)
     y = np.array(means)
@@ -357,7 +388,7 @@ def test_bench_speedup_tracks_class_ratio_for_duplicates(tmp_path):
     class_ratio = tbl.class_count / len(vocab)
     assert 0.05 <= class_ratio <= 0.15
     report = fuzz_decode(g, vocab, tbl, FuzzConfig(seed=8, steps=40, runs=4))
-    naive, comp = report.mask_times_ns(exclude_stuck=True)
+    naive, comp = report.mask_times_ns()
     speedup = statistics.fmean(naive) / statistics.fmean(comp)
     assert speedup >= 5.0, f"speedup {speedup:.1f}x below 5x"
 
@@ -589,6 +620,37 @@ def test_json_lines_records_have_no_private_keys(dyck1_files, capsys):
         assert records, command
         for rec in records:
             assert not [k for k in rec if k.startswith("_")], (command, extra, rec)
+
+
+def _text_value(value):
+    return json.dumps(value) if value is None or isinstance(value, (list, dict)) else str(value)
+
+
+def test_text_prints_the_json_lines_records(dyck1_files, capsys):
+    # Text mode prints each record's keys as key=value pairs; json-lines
+    # prints the same record with its keys sorted.  Where the output holds
+    # no timings, each text line is the json-lines record, value for value.
+    grammar, vocab, cache = dyck1_files
+    files = ["--grammar", grammar, "--vocab", vocab, "--cache", cache]
+    runs = [
+        (["compile"], False),
+        (["verify", "--steps", "5", "--runs", "1", "--congruence-pairs", "2"], True),
+        (["bench", "--steps", "5", "--runs", "2"], False),
+        (["inspect"], True),
+        (["inspect", "--token-id", "3"], True),
+        (["inspect", "--dump-adjacency"], True),
+    ]
+    for (command, *extra), deterministic in runs:
+        assert run_cli(command, *files, *extra, "--format", "json-lines") == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+        assert run_cli(command, *files, *extra) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == len(records), command
+        for line, rec in zip(lines, records):
+            keys = re.findall(r"(?:^| )(\w+)=", line)
+            assert len(set(keys)) == len(keys) and sorted(keys) == list(rec), (line, rec)
+            if deterministic:
+                assert line == " ".join(f"{k}={_text_value(rec[k])}" for k in keys)
 
 
 @pytest.mark.parametrize("command", ["compile", "verify", "bench", "inspect"])

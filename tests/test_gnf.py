@@ -131,9 +131,15 @@ def test_indexes_are_derived_not_passed():
 
 
 def test_tail_lengths_bounded_by_max():
-    gnf = to_gnf(suite_grammar("dyck1"))
-    cap = max((len(tail) for _, _, tail in gnf.productions), default=0)
-    assert all(len(tail) <= cap for _, _, tail in gnf.productions)
+    # Every body of the Dyck grammars starts with a byte or is empty, so a
+    # GNF tail is at most a source body less its leading byte, and the
+    # longest body gives the longest tail.  Paull substitution lengthens the
+    # tails of arith, json_mini and mini_c, where this bound does not hold.
+    for name in ("dyck1", "dyck2"):
+        g = suite_grammar(name)
+        assert all(not body or isinstance(body[0], int) for _, body in g.productions)
+        cap = max(len(body) for _, body in g.productions) - 1
+        assert max(len(tail) for _, _, tail in to_gnf(g).productions) == cap, name
 
 
 @pytest.mark.parametrize("name", ["dyck1", "dyck2", "arith"])
