@@ -79,8 +79,7 @@ def _load_grammar(ns):
 def _load_inputs(ns):
     g, gdig = _load_grammar(ns)
     vocab = load_vocabulary(ns.vocab)
-    vdig = hashlib.sha256(Path(ns.vocab).read_bytes()).digest()
-    return g, vocab, gdig, vdig
+    return g, vocab, gdig, vocab.digest()
 
 
 def _default_cache_path(gdig: bytes, vdig: bytes) -> Path:

@@ -9,9 +9,17 @@ Grammar file format (UTF-8 text):
 One rule per ``name ::= alt1 | alt2 | ...``; a rule ends where the next
 ``name ::=`` begins, so rules may span lines.  An alternative is a
 whitespace-separated sequence of quoted byte-string literals and rule
-names; ``""`` denotes epsilon.  Literals denote the bytes of their UTF-8
-encoding after escape processing (``\\"``, ``\\\\``, ``\\n``, ``\\t``,
-``\\xHH``).  The first rule is the start symbol.
+names (``[A-Za-z_][A-Za-z0-9_'-]*``); ``""`` denotes epsilon.  Literals
+denote the bytes of their UTF-8 encoding after escape processing
+(``\\"``, ``\\\\``, ``\\n``, ``\\t``, ``\\xHH``).  The first rule is the
+start symbol.
+
+The text is scanned by one regular expression.  Each token keeps its
+offset, which becomes a line and column only when a ``GrammarError`` is
+raised; the parser then cuts the token list into rules at each
+``name ::=``.  One escape table serves both directions: the scanner
+decodes escapes through it and ``render_grammar`` writes them from it,
+so every byte value round-trips.
 
 Internally terminals are individual bytes (ints 0..255) and nonterminals
 are identifier strings.  Nonterminals are interned to dense integer ids
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, groupby
+
 
 class GrammarError(ValueError):
     """Problem with a grammar file or grammar structure."""
@@ -83,178 +93,118 @@ class Cfg:
                 raise GrammarError(f"nonterminal {nt!r} has no productions")
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_'\-]*")
-
+# The one escape table: the byte each escape letter stands for.  The
+# scanner decodes through it, and ``_escape_bytes`` renders each of these
+# bytes as its escape, any other printable ASCII byte as itself and the
+# rest as ``\xHH``.
 _ESCAPES = {"n": 0x0A, "t": 0x09, '"': 0x22, "\\": 0x5C}
+_RENDERED = [chr(b) if 0x20 <= b < 0x7F else f"\\x{b:02x}" for b in range(256)]
+for _letter, _byte in _ESCAPES.items():
+    _RENDERED[_byte] = "\\" + _letter
+
+# A literal's body: any character but a quote, backslash or newline, or
+# a valid escape.  A quote that opens no whole literal matches ``open``
+# up to the fault that stops it; any other character no token starts
+# with matches ``bad``.  Blanks and comments before a token are skipped.
+_BODY = r'(?:[^"\\\n]|\\(?:[%s]|x[0-9a-fA-F]{2}))*' % re.escape("".join(_ESCAPES))
+_TOKEN = re.compile(
+    rf"""(?:[ \t\r\n]+|\#[^\n]*)*
+    (?: (?P<define>::=) | (?P<pipe>\|) | (?P<literal>"{_BODY}") | (?P<open>"{_BODY})
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_'\-]*) | (?P<bad>.) | \Z )""",
+    re.X | re.S,
+)
+_ESCAPE = re.compile(rb"\\(x..|.)")
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident", "define", "pipe", "literal"
-    value: object
-    line: int
-    col: int
+def _unescape(m: re.Match) -> bytes:
+    esc = m[1].decode()
+    return bytes((_ESCAPES[esc] if len(esc) == 1 else int(esc[1:], 16),))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("::=", i):
-            out.append(_Token("define", "::=", line, col))
-            i += 3
-            col += 3
-        elif ch == "|":
-            out.append(_Token("pipe", "|", line, col))
-            i += 1
-            col += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            data = bytearray()
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise GrammarError("unterminated string literal", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise GrammarError("dangling escape", line, col)
-                    esc = text[i + 1]
-                    if esc in _ESCAPES:
-                        data.append(_ESCAPES[esc])
-                        i += 2
-                        col += 2
-                    elif esc == "x":
-                        hexpart = text[i + 2 : i + 4]
-                        if len(hexpart) != 2 or not re.fullmatch(r"[0-9a-fA-F]{2}", hexpart):
-                            raise GrammarError("bad \\xHH escape", line, col)
-                        data.append(int(hexpart, 16))
-                        i += 4
-                        col += 4
-                    else:
-                        raise GrammarError(f"unknown escape \\{esc}", line, col)
-                else:
-                    data.extend(c.encode("utf-8"))
-                    i += 1
-                    col += 1
-            out.append(_Token("literal", bytes(data), start_line, start_col))
+def _error(message: str, text: str, at: int) -> GrammarError:
+    """A GrammarError at offset ``at`` of ``text``, as 1-based line and column."""
+    return GrammarError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """The tokens of ``text`` as ``(kind, value, offset)``: an ident's value
+    is the 1-tuple of its name, a literal's the bytes it denotes."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "literal":
+            body = m[kind][1:-1]
+            value = _ESCAPE.sub(_unescape, body.encode()) if "\\" in body else body.encode()
+        elif kind == "ident":
+            value = (m[kind],)
+        elif kind == "open":
+            # The open literal stops at a bad escape, else at its line's end.
+            at = m.end()
+            if not text.startswith("\\", at):
+                raise _error("unterminated string literal", text, m.start(kind))
+            if at + 1 == len(text):
+                raise _error("dangling escape", text, at)
+            esc = text[at + 1]
+            raise _error("bad \\xHH escape" if esc == "x" else f"unknown escape \\{esc}", text, at)
+        elif kind == "bad":
+            raise _error(f"unexpected character {m[kind]!r}", text, m.start(kind))
+        elif kind is None:
+            continue
         else:
-            m = _IDENT.match(text, i)
-            if not m:
-                raise GrammarError(f"unexpected character {ch!r}", line, col)
-            out.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-    return out
+            value = None
+        toks.append((kind, value, m.start(kind)))
+    return toks
 
 
 def parse_grammar(src: GrammarSource | str) -> Cfg:
     """Parse grammar text into a Cfg, preserving rule and alternative order."""
     if isinstance(src, str):
         src = GrammarSource(src)
-    toks = _tokenize(src.text)
+    text = src.text
+    toks = _tokenize(text)
     if not toks:
         raise GrammarError(f"empty grammar in {src.origin}: no rules")
-
-    # A rule boundary is an ident immediately followed by '::='.
-    rules: list[tuple[str, list[list[int | str]], _Token]] = []
-    i = 0
-    if not (toks[0].kind == "ident" and len(toks) > 1 and toks[1].kind == "define"):
-        t = toks[0]
-        raise GrammarError("expected 'name ::=' at start of grammar", t.line, t.col)
-    while i < len(toks):
-        name_tok = toks[i]
-        if name_tok.kind != "ident" or i + 1 >= len(toks) or toks[i + 1].kind != "define":
-            raise GrammarError("expected 'name ::='", name_tok.line, name_tok.col)
-        i += 2
-        alts: list[list[int | str]] = [[]]
-        saw_epsilon_literal = [False]
-        while i < len(toks):
-            t = toks[i]
-            if t.kind == "ident" and i + 1 < len(toks) and toks[i + 1].kind == "define":
-                break  # next rule
-            if t.kind == "pipe":
+    # A rule starts at each ident immediately followed by '::='.
+    starts = [
+        i - 1 for i in range(1, len(toks)) if toks[i][0] == "define" and toks[i - 1][0] == "ident"
+    ]
+    if not starts or starts[0] != 0:
+        raise _error("expected 'name ::=' at start of grammar", text, toks[0][2])
+    rules = []
+    for first, end in zip(starts, starts[1:] + [len(toks)]):
+        _, (name,), at = toks[first]
+        alts: list[list] = [[]]
+        for kind, value, offset in toks[first + 2 : end]:
+            if kind == "pipe":
                 alts.append([])
-                saw_epsilon_literal.append(False)
-            elif t.kind == "ident":
-                alts[-1].append(t.value)
-            elif t.kind == "literal":
-                if t.value == b"":
-                    saw_epsilon_literal[-1] = True
-                alts[-1].extend(t.value)
+            elif kind == "define":
+                raise _error("unexpected '::='", text, offset)
             else:
-                raise GrammarError("unexpected '::='", t.line, t.col)
-            i += 1
-        for alt, saw_eps in zip(alts, saw_epsilon_literal):
-            if not alt and not saw_eps:
-                raise GrammarError(
-                    f"empty alternative in rule {name_tok.value!r}; use \"\" for epsilon",
-                    name_tok.line,
-                    name_tok.col,
-                )
-        rules.append((name_tok.value, alts, name_tok))
+                alts[-1].append(value)
+        if not all(alts):
+            raise _error(f'empty alternative in rule {name!r}; use "" for epsilon', text, at)
+        rules.append((name, at, [tuple(chain.from_iterable(alt)) for alt in alts]))
 
     defined = {name for name, _, _ in rules}
-    nonterminals: list[str] = []
-    for name, alts, tok in rules:
-        if name not in nonterminals:
-            nonterminals.append(name)
-        for alt in alts:
-            for sym in alt:
+    interned: dict[str, None] = {}  # nonterminals in first-appearance order
+    for name, at, bodies in rules:
+        interned[name] = None
+        for body in bodies:
+            for sym in body:
                 if isinstance(sym, str):
                     if sym not in defined:
-                        raise GrammarError(f"reference to undefined rule {sym!r}", tok.line, tok.col)
-                    if sym not in nonterminals:
-                        nonterminals.append(sym)
-
-    productions = []
-    alphabet: set[int] = set()
-    for name, alts, _ in rules:
-        for alt in alts:
-            productions.append((name, tuple(alt)))
-            alphabet.update(s for s in alt if isinstance(s, int))
-
+                        raise _error(f"reference to undefined rule {sym!r}", text, at)
+                    interned[sym] = None
     return Cfg(
-        nonterminals=tuple(nonterminals),
-        alphabet=frozenset(alphabet),
-        productions=tuple(productions),
+        nonterminals=tuple(interned),
+        alphabet=frozenset(b"".join(value for kind, value, _ in toks if kind == "literal")),
+        productions=tuple((name, body) for name, _, bodies in rules for body in bodies),
         start=rules[0][0],
     )
 
 
 def _escape_bytes(data: bytes) -> str:
-    out = []
-    for b in data:
-        if b == 0x22:
-            out.append('\\"')
-        elif b == 0x5C:
-            out.append("\\\\")
-        elif b == 0x0A:
-            out.append("\\n")
-        elif b == 0x09:
-            out.append("\\t")
-        elif 0x20 <= b < 0x7F:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    return "".join(map(_RENDERED.__getitem__, data))
 
 
 def render_grammar(g: Cfg) -> str:
@@ -275,17 +225,8 @@ def render_grammar(g: Cfg) -> str:
         alts = []
         for body in by_head[head]:
             parts = []
-            run: list[int] = []
-            for sym in body:
-                if isinstance(sym, int):
-                    run.append(sym)
-                else:
-                    if run:
-                        parts.append(f'"{_escape_bytes(bytes(run))}"')
-                        run = []
-                    parts.append(sym)
-            if run:
-                parts.append(f'"{_escape_bytes(bytes(run))}"')
+            for is_byte, run in groupby(body, key=lambda sym: isinstance(sym, int)):
+                parts.extend([f'"{_escape_bytes(bytes(run))}"'] if is_byte else run)
             alts.append(" ".join(parts) if parts else '""')
         lines.append(f"{head} ::= {' | '.join(alts)}")
     return "\n".join(lines) + "\n"

@@ -181,6 +181,21 @@ def test_verify_stale_cache_fails(dyck1_files, tmp_path, capsys):
     assert "different vocabulary" in capsys.readouterr().err
 
 
+def test_cache_is_keyed_on_vocabulary_content(dyck1_files, tmp_path):
+    # A file with uppercase hex and a comment holds the same vocabulary as
+    # its canonical rendering, so a cache built from one verifies with the other.
+    grammar, vocab, cache = dyck1_files
+    canonical = vocab.read_text()
+    lines = canonical.splitlines()
+    specials = [ln for ln in lines if ln.startswith("#special")]
+    tokens = [ln.upper() for ln in lines if not ln.startswith("#")]
+    vocab.write_text("\n".join(specials + ["# uppercase hex"] + tokens) + "\n")
+    assert load_vocabulary(vocab).render() == canonical
+    assert run_cli(*compile_args(grammar, vocab, cache)) == 0
+    vocab.write_text(canonical)
+    assert run_cli("verify", "--grammar", grammar, "--vocab", vocab, "--cache", cache) == 0
+
+
 def wide_files(tmp_path):
     """A compiled grammar with 40 one-byte alternatives: 40^4 = 2.56M
     strings of 4 bytes, more than the congruence oracle enumerates.  "a"

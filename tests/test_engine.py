@@ -168,6 +168,27 @@ def test_leo_chain_through_start_at_origin_zero_sets_complete():
     assert start_items & s.item_set()
 
 
+def test_leo_chain_deeper_than_the_recursion_limit():
+    # The chain down 3,000 "a"s completes only at the "b", all at once.
+    g = validate(parse_grammar('root ::= "a" root | "b"'))
+    whole = try_advance(new_state(g), b"a" * 3000)
+    s = new_state(g)
+    for _ in range(3000):
+        s = try_advance(s, b"a")
+    assert whole.digest() == s.digest()
+    done = try_advance(whole, b"b")
+    assert done.complete and not whole.complete
+    vocab = Vocabulary((b"a", b"b", b"aa", b"ab", b"ba", b""), frozenset({5}), 5)
+    gnf = to_gnf(g)
+    sweep = compute_all_displacements(vocab.tokens, gnf, build_stack_adjacency(gnf))
+    tbl = build_class_table(vocab, sweep.displacements)
+    for state in (whole, done):
+        expanded = expand_class_mask(compute_mask_compressed(state, tbl, vocab).bits, tbl)
+        assert np.array_equal(expanded, compute_mask_naive(state, vocab).bits)
+    data = b"a" * 300 + b"b"
+    assert try_advance(new_state(g), data).item_set() == earley_item_sets(g, data)[-1]
+
+
 def test_naive_mask_dyck_small_vocab():
     g = suite_grammar("dyck1")
     vocab = Vocabulary(tokens=(b"(", b")", b"()", b"\x00"), specials=frozenset({3}), eos_id=3)

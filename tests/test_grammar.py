@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgzip import (
     Cfg,
@@ -16,7 +18,7 @@ from cfgzip import (
     validate,
 )
 
-from conftest import GRAMMARS, suite_grammar
+from conftest import GRAMMARS, SHAPES, random_grammars, suite_grammar
 
 
 def test_single_rule_literal():
@@ -77,6 +79,116 @@ def test_empty_grammar():
 def test_empty_alternative_rejected():
     with pytest.raises(GrammarError, match="empty alternative"):
         parse_grammar('root ::= "a" | ')
+
+
+# Each malformed input, with its message and position (None for a
+# grammar without rules).  Scanner errors come before parse errors, a
+# rule's syntax errors before any undefined reference, and within a
+# literal an escape error before the end of its line comes first.
+ERRORS = [
+    ('r ::= "abc\nq ::= "x"', "unterminated string literal", 1, 7),
+    ('r ::= "abc', "unterminated string literal", 1, 7),
+    ('r ::= "a\\', "dangling escape", 1, 9),
+    ('r ::= "\\', "dangling escape", 1, 8),
+    ('r ::= "a\\\\', "unterminated string literal", 1, 7),
+    ('r ::= "a\\q"', "unknown escape \\q", 1, 9),
+    ('r ::= "\\xZZ"', "bad \\xHH escape", 1, 8),
+    ('r ::= "\\x4"', "bad \\xHH escape", 1, 8),
+    ('r ::= "\\x4', "bad \\xHH escape", 1, 8),
+    ('r ::= "a\\\nb"', "unknown escape \\\n", 1, 9),
+    ('r ::= "a\\\n', "unknown escape \\\n", 1, 9),
+    ('r ::= "ok" "\\q\nq ::= "x', "unknown escape \\q", 1, 13),
+    ('r ::= "a" "b\n"\\q"', "unterminated string literal", 1, 11),
+    ('r ::= "a" @', "unexpected character '@'", 1, 11),
+    ("r ::= \u00e9", "unexpected character '\u00e9'", 1, 7),
+    ('r ::= "a" : "b"', "unexpected character ':'", 1, 11),
+    ("r ::= | @", "unexpected character '@'", 1, 9),
+    ("a b", "expected 'name ::=' at start of grammar", 1, 1),
+    ("::= x", "expected 'name ::=' at start of grammar", 1, 1),
+    ("r ::= a ::= b", "empty alternative in rule 'r'; use \"\" for epsilon", 1, 1),
+    ('r ::= "a" |', "empty alternative in rule 'r'; use \"\" for epsilon", 1, 1),
+    ('r ::= "a" | | "b"', "empty alternative in rule 'r'; use \"\" for epsilon", 1, 1),
+    ('r ::= "a" x\nx ::= |', "empty alternative in rule 'x'; use \"\" for epsilon", 2, 1),
+    ("r ::= missing\nq ::= |", "empty alternative in rule 'q'; use \"\" for epsilon", 2, 1),
+    ('r ::= "a"\nq ::= missing', "reference to undefined rule 'missing'", 2, 1),
+    ('r ::= "a" ::=', "unexpected '::='", 1, 11),
+    ('r ::= "a"\nr2 ::= ::=', "unexpected '::='", 2, 8),
+    ("", "empty grammar in <literal>: no rules", None, None),
+    ("# only a comment\n", "empty grammar in <literal>: no rules", None, None),
+    ("  \n\t\n", "empty grammar in <literal>: no rules", None, None),
+    ('r ::= "a"\r\n\tq ::= "b"\r\n\t# note\r\ns ::=\t"c" @', "unexpected character '@'", 4, 11),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", ERRORS)
+def test_error_message_and_position(text, message, line, col):
+    with pytest.raises(GrammarError) as err:
+        parse_grammar(text)
+    where = "" if line is None else f" (line {line}, column {col})"
+    assert str(err.value) == message + where
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# Valid inputs and the Cfg each gives: (nonterminals, productions, start).
+PARSES = [
+    (
+        'r ::= "h\u00e9llo" | "\u65e5\u672c"',
+        ("r",),
+        (("r", tuple("h\u00e9llo".encode())), ("r", tuple("\u65e5\u672c".encode()))),
+        "r",
+    ),
+    ('r ::= "a\rb\tc"', ("r",), (("r", (97, 13, 98, 9, 99)),), "r"),
+    (
+        "A' ::= b_61' \"x\"\nb_61' ::= \"y\" | A-b\nA-b ::= \"\"",
+        ("A'", "b_61'", "A-b"),
+        (("A'", ("b_61'", 120)), ("b_61'", (121,)), ("b_61'", ("A-b",)), ("A-b", ())),
+        "A'",
+    ),
+    (
+        'r ::= "a" q\r\nq ::= "b"\r\n   | ""\r\n',
+        ("r", "q"),
+        (("r", (97, "q")), ("q", (98,)), ("q", ())),
+        "r",
+    ),
+    ('r ::= "\\x00\\xFf\\x7f" "" "\\"\\\\"', ("r",), (("r", (0, 255, 127, 34, 92)),), "r"),
+    (
+        'r ::= x x|"" y\n# c\ny ::= x\nx::="z"|y',
+        ("r", "x", "y"),
+        (("r", ("x", "x")), ("r", ("y",)), ("y", ("x",)), ("x", (122,)), ("x", ("y",))),
+        "r",
+    ),
+    ('r ::= "a"\nr ::= "b"', ("r",), (("r", (97,)), ("r", (98,))), "r"),
+]
+
+
+@pytest.mark.parametrize("text,nonterminals,productions,start", PARSES)
+def test_parse_gives_cfg(text, nonterminals, productions, start):
+    alphabet = frozenset(s for _, body in productions for s in body if isinstance(s, int))
+    assert parse_grammar(text) == Cfg(nonterminals, alphabet, productions, start)
+
+
+@st.composite
+def byte_grammars(draw):
+    """A random grammar whose bytes a, b and c are mapped to distinct
+    bytes drawn from 0-255, quotes, backslashes and controls included."""
+    g, _ = draw(random_grammars(SHAPES))
+    special = st.sampled_from(b'"\\\n\t\r\x00\x7f\x80\xff')
+    targets = draw(
+        st.lists(st.one_of(special, st.integers(0, 255)), min_size=3, max_size=3, unique=True)
+    )
+    to = dict(zip(b"abc", targets))
+    productions = tuple(
+        (h, tuple(to[s] if isinstance(s, int) else s for s in body)) for h, body in g.productions
+    )
+    return Cfg(g.nonterminals, frozenset(to[b] for b in g.alphabet), productions, g.start)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(byte_grammars())
+def test_render_roundtrip_every_byte_value(g):
+    again = parse_grammar(render_grammar(g))
+    assert again.productions == g.productions
+    assert (again.start, again.alphabet) == (g.start, g.alphabet)
 
 
 @pytest.mark.parametrize("name", sorted(GRAMMARS))
