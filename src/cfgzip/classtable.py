@@ -289,12 +289,9 @@ def apply_mask(logits, class_mask, tbl: ClassTable):
     ``out[i] = logits[i] if class_mask[c[i]] else -inf``.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    class_mask = np.asarray(class_mask, dtype=bool)
     if len(logits) != tbl.token_count:
         raise ValueError(f"logits length {len(logits)} != token count {tbl.token_count}")
-    if len(class_mask) != tbl.class_count:
-        raise ValueError(f"mask length {len(class_mask)} != class count {tbl.class_count}")
-    return np.where(class_mask[tbl.c], logits, -np.inf)
+    return np.where(expand_class_mask(class_mask, tbl), logits, -np.inf)
 
 
 def expand_class_mask(class_mask, tbl: ClassTable) -> np.ndarray:

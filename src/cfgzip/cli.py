@@ -43,12 +43,12 @@ from .classtable import (
     load_vocabulary,
     save_cache,
 )
-from .displacement import compute_all_displacements
+from .displacement import DEFAULT_NODE_BUDGET, compute_all_displacements
 from .fuzz import FuzzConfig, fuzz_decode
 from .gnf import render_gnf, to_gnf
 from .grammar import GrammarSource, parse_grammar, validate
 from .grammar import _escape_bytes
-from .oracle import oracle_congruence_sample
+from .oracle import DEFAULT_CONTEXT_BOUND, oracle_congruence_sample
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=10_000_000,
+            default=DEFAULT_NODE_BUDGET,
             help="cap on search states expanded along one token's bytes, "
             "plus the next step's bound on what it builds",
         )
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p)
     fuzz(p)
     p.add_argument("--congruence-pairs", type=int, default=50)
-    p.add_argument("--congruence-bound", type=int, default=4)
+    p.add_argument("--congruence-bound", type=int, default=DEFAULT_CONTEXT_BOUND)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="measure naive vs compressed mask latency")

@@ -363,8 +363,10 @@ def compute_displacement_annotated(
     subset of pairs reachable through a path whose every backtrack passes
     the adjacency check.  ``filtered`` must equal the pruned search's
     result; the comparison is a regression check on the in-search pruning.
-    This is a backward, memoized search over names, coded only at the end:
-    it shares no code with the forward walk, so the check stays independent.
+    This is a separate backward, memoized search over the grammar's coded
+    table (``coded_delta`` and ``coded_by_byte``, the table the forward walk
+    reads too, tied to the productions by the PDA tests).  It codes the
+    adjacency pairs itself and shares no code with the forward walk.
     """
     codes = _trivial(token, g)
     if codes is not None:
@@ -374,9 +376,11 @@ def compute_displacement_annotated(
     n = len(token)
     nodes = 0
     memo: dict[tuple, frozenset] = {}
+    admitted = {g.code[y] + g.code[z] for y, z in adj.pairs}
 
-    def search(pos: int, out: tuple[str, ...], prev: str | None) -> frozenset:
-        # Elements are (appended input symbols, final stack, all checks passed).
+    def search(pos: int, out: str, prev: str) -> frozenset:
+        # Elements are (appended input symbols, final stack, all checks
+        # passed), coded; the first byte has no previous symbol ("").
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -386,30 +390,28 @@ def compute_displacement_annotated(
         if got is not None:
             return got
         if pos == n:
-            res = frozenset({((), out, True)})
+            res = frozenset({("", out, True)})
         elif not out:
             acc = set()
-            for head, tail in g.by_byte.get(token[pos], ()):
-                ok_here = prev is None or (prev, head) in adj
+            for head, tail in g.coded_by_byte.get(token[pos], ()):
+                ok_here = not prev or prev + head in admitted
                 for appended, final, ok in search(pos + 1, tail, head):
-                    acc.add(((head,) + appended, final, ok and ok_here))
+                    acc.add((head + appended, final, ok and ok_here))
             res = frozenset(acc)
         else:
             acc = set()
             top = out[0]
             rest = out[1:]
-            for tail in g.delta(token[pos], top):
+            for tail in g.coded_delta.get(token[pos], {}).get(top, ()):
                 acc |= search(pos + 1, tail + rest, top)
             res = frozenset(acc)
         memo[key] = res
         return res
 
-    triples = search(0, (), None)
-    code = g.code.__getitem__
+    triples = search(0, "", "")
     sep = chr(len(g.nonterminals))
-    coded = {(a, f): "".join(map(code, f)) + sep + "".join(map(code, a)) for a, f, _ in triples}
-    raw = frozenset(coded.values())
-    filtered = frozenset(coded[a, f] for a, f, ok in triples if ok)
+    raw = frozenset(f + sep + a for a, f, _ in triples)
+    filtered = frozenset(f + sep + a for a, f, ok in triples if ok)
     return Displacement(raw, g.nonterminals), Displacement(filtered, g.nonterminals)
 
 
@@ -431,36 +433,44 @@ def trace_displacement(
     """Enumerate accepting unpruned search paths with per-step stack snapshots.
 
     Returns (input stack, output stack, steps) triples sorted for
-    determinism.  Exponential in the worst case: intended for small
-    inspection grammars only.
+    determinism.  The search steps coded stacks through the grammar's
+    coded table and decodes names only for the paths it returns.
+    Exponential in the worst case: intended for small inspection grammars
+    only.
     """
     if not token:
         return [((), (), ())]
     n = len(token)
     results = []
     nodes = 0
+    names, decode = g.nonterminals, g.decode
 
     def walk(pos, inq, out, steps):
+        # ``steps`` holds (byte, head, tail, backtrack, input queue,
+        # output stack) with the symbols coded.
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(token, budget)
         if pos == n:
-            results.append((inq, out, tuple(steps)))
+            named = tuple(
+                TraceStep(b, names[ord(h)], decode(t), bt, decode(q), decode(o))
+                for b, h, t, bt, q, o in steps
+            )
+            results.append((decode(inq), decode(out), named))
             return
         byte = token[pos]
-        if not out:
-            for head, tail in g.by_byte.get(byte, ()):
-                step = TraceStep(byte, head, tail, True, inq + (head,), tail)
-                walk(pos + 1, inq + (head,), tail, steps + [step])
+        if out:
+            top = out[0]
+            tails = g.coded_delta.get(byte, {}).get(top, ())
+            moves = [(top, tail, False, inq, tail + out[1:]) for tail in tails]
         else:
-            top, rest = out[0], out[1:]
-            for tail in g.delta(byte, top):
-                new_out = tail + rest
-                step = TraceStep(byte, top, tail, False, inq, new_out)
-                walk(pos + 1, inq, new_out, steps + [step])
+            pairs = g.coded_by_byte.get(byte, ())
+            moves = [(head, tail, True, inq + head, tail) for head, tail in pairs]
+        for head, tail, backtrack, q, o in moves:
+            walk(pos + 1, q, o, steps + [(byte, head, tail, backtrack, q, o)])
 
-    walk(0, (), (), [])
+    walk(0, "", "", [])
     return sorted(results, key=lambda t: (t[0], t[1]))
 
 

@@ -21,6 +21,11 @@ in them still shows: the GNF is checked through ``bounded_language``,
 whose enumerator reads epsilon and unit bodies as they stand, and the
 engine runs neither elimination.  ``render_gnf`` is ``render_grammar``
 over ``gnf_to_cfg``.
+
+The PDA is tabulated once, coded, on ``GnfGrammar``: the PDA run below
+and every displacement search step string stacks through that one table,
+and the PDA tests, which check the run against the source grammar's words
+and prefixes, tie it to the productions.
 """
 
 from __future__ import annotations
@@ -53,18 +58,16 @@ class GnfGrammar:
 
     ``productions`` hold ``(head, terminal_byte, tail)`` triples;
     ``start_derives_epsilon`` stands in for the lone permitted epsilon
-    production.  Two indexes are derived once at construction:
-    ``delta_map`` maps ``(byte, nonterminal)`` to the tuple of tails pushed
-    when that nonterminal is popped on that byte, and ``by_byte`` maps a
-    byte to the ``(head, tail)`` pairs of the productions leading with it,
-    in production order.
-
-    The displacement walk reads both through a coding of the stack
-    symbols: ``code`` maps the nonterminal at index ``i`` to ``chr(i)``,
-    so a stack is a ``str`` with its top first and ``chr(len(nonterminals))``
-    is free as a separator.  ``coded_delta`` maps a byte to a dict from
-    the coded popped symbol to its coded tails, and ``coded_by_byte`` maps
-    a byte to its coded ``(head, tail)`` pairs.
+    production.  The PDA is tabulated once, in one pass over the
+    productions, in a coding of the stack symbols: ``code`` maps the
+    nonterminal at index ``i`` to ``chr(i)``, so a stack is a ``str`` with
+    its top first and ``chr(len(nonterminals))`` is free as a separator.
+    ``coded_delta`` maps a byte to a dict from the coded popped symbol to
+    the coded tails pushed, deduplicated in first-seen order, and
+    ``coded_by_byte`` maps a byte to the coded ``(head, tail)`` pairs of
+    the productions leading with it, in production order.  These three are
+    the only derived tables; every PDA reader steps string stacks through
+    them, and ``delta`` and ``transition_function`` decode them to names.
     """
 
     nonterminals: tuple[str, ...]
@@ -72,64 +75,58 @@ class GnfGrammar:
     productions: tuple[tuple[str, int, tuple[str, ...]], ...]
     start: str
     start_derives_epsilon: bool = False
-    delta_map: dict = field(init=False, compare=False, repr=False)
-    by_byte: dict = field(init=False, compare=False, repr=False)
     code: dict = field(init=False, compare=False, repr=False)
     coded_delta: dict = field(init=False, compare=False, repr=False)
     coded_by_byte: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.start not in self.nonterminals:
+        code = {nt: chr(i) for i, nt in enumerate(self.nonterminals)}
+        if self.start not in code:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
+        # byte -> coded popped symbol -> coded tails, as dict keys to
+        # deduplicate in first-seen order.
+        delta: dict[int, dict[str, dict[str, None]]] = {}
+        by_byte: dict[int, list[tuple[str, str]]] = {}
         for head, term, tail in self.productions:
-            if head not in self.nonterminals:
+            if head not in code:
                 raise GrammarError(f"unknown head symbol {head!r}")
             if not 0 <= term <= 255:
                 raise GrammarError(f"production {head!r} does not lead with a byte")
             if self.start in tail:
                 raise GrammarError(f"start symbol appears in the tail of a {head!r} production")
             for nt in tail:
-                if nt not in self.nonterminals:
+                if nt not in code:
                     raise GrammarError(f"unknown tail symbol {nt!r}")
-        by_byte: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-        for head, term, tail in self.productions:
-            by_byte.setdefault(term, []).append((head, tail))
-        object.__setattr__(self, "by_byte", {k: tuple(v) for k, v in by_byte.items()})
-        object.__setattr__(self, "delta_map", transition_function(self))
-        code = {nt: chr(i) for i, nt in enumerate(self.nonterminals)}
-        coded_delta: dict[int, dict[str, tuple[str, ...]]] = {}
-        for (byte, nt), tails in self.delta_map.items():
-            coded = tuple("".join(map(code.__getitem__, t)) for t in tails)
-            coded_delta.setdefault(byte, {})[code[nt]] = coded
-        coded_by_byte = {
-            byte: tuple((code[head], "".join(map(code.__getitem__, tail))) for head, tail in pairs)
-            for byte, pairs in self.by_byte.items()
-        }
+            coded = "".join(map(code.__getitem__, tail))
+            delta.setdefault(term, {}).setdefault(code[head], {})[coded] = None
+            by_byte.setdefault(term, []).append((code[head], coded))
+        coded_delta = {b: {nt: tuple(tails) for nt, tails in d.items()} for b, d in delta.items()}
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "coded_delta", coded_delta)
-        object.__setattr__(self, "coded_by_byte", coded_by_byte)
+        object.__setattr__(self, "coded_by_byte", {b: tuple(v) for b, v in by_byte.items()})
+
+    def decode(self, stack: str) -> tuple[str, ...]:
+        """The nonterminal names of a coded stack, top first."""
+        return tuple(self.nonterminals[ord(c)] for c in stack)
 
     def delta(self, byte: int, nt: str) -> tuple[tuple[str, ...], ...]:
         """Tails pushed when ``nt`` is popped on ``byte`` (empty if none)."""
-        return self.delta_map.get((byte, nt), ())
+        return tuple(map(self.decode, self.coded_delta.get(byte, {}).get(self.code.get(nt), ())))
 
 
 def transition_function(g: GnfGrammar) -> dict[tuple[int, str], tuple[tuple[str, ...], ...]]:
     """The PDA transition function: (byte, nonterminal) -> tails.
 
-    Total over the domain with the empty tuple as default; tails keep the
-    production order of the grammar, deduplicated.
+    Only the pairs some production leads with are keys (``delta`` returns
+    the empty tuple for the others); keys are in production order, and
+    tails keep the production order of the grammar, deduplicated.
     """
-    out: dict[tuple[int, str], list[tuple[str, ...]]] = {}
-    for head, term, tail in g.productions:
-        slot = out.setdefault((term, head), [])
-        if tail not in slot:
-            slot.append(tail)
-    return {k: tuple(v) for k, v in out.items()}
+    slots = dict.fromkeys((term, head) for head, term, _ in g.productions)
+    return {(term, head): g.delta(term, head) for term, head in slots}
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    name = base + "'"
+def _fresh(name: str, taken: set[str]) -> str:
+    """``name``, primed until no symbol has it yet; the result is taken."""
     while name in taken:
         name += "'"
     taken.add(name)
@@ -157,7 +154,7 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
     prods: list[tuple[str, tuple[int | str, ...]]] = list(g.productions)
     start_in_tail = any(start in body for _, body in prods)
     if start_in_tail or eps_in_language:
-        fresh_start = _fresh(start, taken)
+        fresh_start = _fresh(start + "'", taken)
         prods.insert(0, (fresh_start, (start,)))
         start = fresh_start
 
@@ -204,7 +201,7 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
         if recursive:
             if any(not alpha for alpha in recursive):
                 raise GrammarError(f"cycle: {ai!r} derives itself")
-            helper = _fresh(ai, taken)
+            helper = _fresh(ai + "'", taken)
             helper_of[ai] = helper
             by_head[ai] = rest + [b + (helper,) for b in rest]
             by_head[helper] = list(recursive) + [alpha + (helper,) for alpha in recursive]
@@ -235,16 +232,10 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
             tail = []
             for sym in body[1:]:
                 if isinstance(sym, int):
-                    name = byte_rule.get(sym)
-                    if name is None:
-                        name = f"b_{sym:02x}"
-                        while name in taken:
-                            name += "'"
-                        taken.add(name)
-                        byte_rule[sym] = name
-                    tail.append(name)
-                else:
-                    tail.append(sym)
+                    if sym not in byte_rule:
+                        byte_rule[sym] = _fresh(f"b_{sym:02x}", taken)
+                    sym = byte_rule[sym]
+                tail.append(sym)
             gnf_prods.append((head, lead, tuple(tail)))
     for byte, name in byte_rule.items():
         gnf_prods.append((name, byte, ()))
@@ -263,20 +254,14 @@ def to_gnf(g: Cfg, max_productions: int = DEFAULT_PRODUCTION_CAP) -> GnfGrammar:
     reach = reachable(edges, (start,))
     gnf_prods = [p for p in gnf_prods if p[0] in reach]
 
-    nonterminals: list[str] = []
-    for head, _, tail in gnf_prods:
-        if head not in nonterminals:
-            nonterminals.append(head)
-        for s in tail:
-            if s not in nonterminals:
-                nonterminals.append(s)
+    nonterminals = tuple(dict.fromkeys(s for head, _, tail in gnf_prods for s in (head, *tail)))
     if start not in nonterminals:
         # Language is exactly {epsilon}: keep the bare start symbol.
-        nonterminals.insert(0, start)
+        nonterminals = (start,) + nonterminals
     alphabet = frozenset(term for _, term, _ in gnf_prods)
 
     return GnfGrammar(
-        nonterminals=tuple(nonterminals),
+        nonterminals=nonterminals,
         alphabet=alphabet,
         productions=tuple(gnf_prods),
         start=start,
@@ -305,19 +290,20 @@ def gnf_to_cfg(g: GnfGrammar) -> Cfg:
     )
 
 
-def _pda_run(g: GnfGrammar, w: bytes, prune: bool) -> set[tuple[str, ...]]:
-    """The stacks the nondeterministic PDA reaches from (S) on all of
-    ``w`` (non-empty); empty once no path survives.  With ``prune``, a
+def _pda_run(g: GnfGrammar, w: bytes, prune: bool) -> set[str]:
+    """The coded stacks the nondeterministic PDA reaches from (S) on all
+    of ``w`` (non-empty); empty once no path survives.  With ``prune``, a
     stack taller than the input left is dropped: each later byte shrinks
     the stack by at most one, so it can never drain."""
-    states = {(g.start,)}
+    states = {g.code[g.start]}
     for i, byte in enumerate(w):
         cap = len(w) - i - 1 if prune else float("inf")
+        delta = g.coded_delta.get(byte, {})
+        # An empty stack's stack[:1] is "", which no symbol is coded as.
         states = {
             tail + stack[1:]
             for stack in states
-            if stack
-            for tail in g.delta(byte, stack[0])
+            for tail in delta.get(stack[:1], ())
             if len(tail) + len(stack) - 1 <= cap
         }
         if not states:
@@ -330,7 +316,7 @@ def pda_accepts(g: GnfGrammar, w: bytes) -> bool:
     empty exactly when the input ends."""
     if not w:
         return g.start_derives_epsilon
-    return () in _pda_run(g, w, prune=True)
+    return "" in _pda_run(g, w, prune=True)
 
 
 def pda_prefix_viable(g: GnfGrammar, w: bytes) -> bool:

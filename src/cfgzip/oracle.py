@@ -38,6 +38,8 @@ from functools import lru_cache
 from .grammar import Cfg, check_nullable_bodies, drop_epsilon, drop_units, nullable_set, validate
 
 DEFAULT_WORD_BOUND = 16
+# The longest context, on either side of a token, a congruence check tries.
+DEFAULT_CONTEXT_BOUND = 4
 # The most strings the yield enumerator holds in one set or in its whole table.
 YIELD_LIMIT = 2_000_000
 
@@ -374,7 +376,9 @@ def _extend_left(groups: dict, ending: dict, free: list, bound: int) -> dict:
     return out
 
 
-def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[bytes, bytes]]:
+def context_signature(
+    g: Cfg, token: bytes, bound: int = DEFAULT_CONTEXT_BOUND
+) -> frozenset[tuple[bytes, bytes]]:
     """All bounded contexts accepting the token.
 
     Returns the set of pairs ``(w, z)`` with ``|w|, |z| <= bound`` such
@@ -473,7 +477,9 @@ def context_signature(g: Cfg, token: bytes, bound: int = 4) -> frozenset[tuple[b
     return result
 
 
-def oracle_congruence_sample(g: Cfg, t: bytes, u: bytes, bound: int = 4) -> bool:
+def oracle_congruence_sample(
+    g: Cfg, t: bytes, u: bytes, bound: int = DEFAULT_CONTEXT_BOUND
+) -> bool:
     """Exhaustive bounded-context congruence check.
 
     True iff no contexts ``(w, z)`` with both sides at most ``bound``
@@ -486,7 +492,7 @@ def oracle_congruence_sample(g: Cfg, t: bytes, u: bytes, bound: int = 4) -> bool
 
 
 def distinguishing_context(
-    g: Cfg, t: bytes, u: bytes, bound: int = 4
+    g: Cfg, t: bytes, u: bytes, bound: int = DEFAULT_CONTEXT_BOUND
 ) -> tuple[bytes, bytes] | None:
     """A witness context accepted around exactly one of the two strings."""
     if t == u:

@@ -18,7 +18,7 @@ from cfgzip import (
     validate,
 )
 from cfgzip.gnf import gnf_to_cfg
-from cfgzip.oracle import bounded_language, oracle_membership
+from cfgzip.oracle import bounded_language, oracle_membership, oracle_prefix
 
 from conftest import GRAMMARS, figure_grammar, random_grammars, suite_grammar
 
@@ -80,7 +80,9 @@ def test_language_preserved_exhaustively(name):
 def test_language_preserved_on_random_grammars(drawn):
     # The shared epsilon, unit, productive and reachable passes, checked
     # from the GNF side on grammars the suite grammars do not cover.
-    g, _ = drawn
+    # The PDA steps the coded tables, so it is checked against the words
+    # and prefixes of the source grammar too.
+    g, alphabet = drawn
     try:
         gnf = to_gnf(g, max_productions=400)
     except GnfSizeError:
@@ -88,6 +90,11 @@ def test_language_preserved_on_random_grammars(drawn):
     words = bounded_language(g, 5)
     assert words == bounded_language(gnf_to_cfg(gnf), 5)
     assert gnf.start_derives_epsilon == (b"" in words)
+    for n in range(5):
+        for w in map(bytes, itertools.product(alphabet, repeat=n)):
+            assert pda_accepts(gnf, w) == (w in words), w
+            if n <= 3:
+                assert pda_prefix_viable(gnf, w) == oracle_prefix(g, w), w
 
 
 def test_bounded_language_agrees_with_cyk():
@@ -116,18 +123,56 @@ def test_transition_function_figure_grammar():
 
 
 def test_indexes_are_derived_not_passed():
-    # The indexes always follow the productions: a caller cannot supply them.
+    # The coded tables always follow the productions: a caller cannot supply them.
     toy = figure_grammar()
-    assert toy.delta_map == transition_function(toy)
-    assert toy.by_byte[ord("y")] == (("Y", ("Z", "J", "K")),)
+    code = toy.code
+    assert code == {nt: chr(i) for i, nt in enumerate(toy.nonterminals)}
+    y_tail = code["Z"] + code["J"] + code["K"]
+    assert toy.coded_delta[ord("y")] == {code["Y"]: (y_tail,)}
+    assert toy.coded_by_byte[ord("y")] == ((code["Y"], y_tail),)
+    assert toy.coded_delta[ord("b")] == {code["B"]: ("",)}
+    assert set(toy.coded_delta) == set(toy.coded_by_byte) == toy.alphabet
     with pytest.raises(TypeError):
         type(toy)(
             nonterminals=toy.nonterminals,
             alphabet=toy.alphabet,
             productions=toy.productions,
             start=toy.start,
-            by_byte={},
+            coded_by_byte={},
         )
+
+
+def test_duplicate_tails_listed_once_in_first_seen_order():
+    # Paull substitution can repeat a production; the PDA lists each tail
+    # once per (byte, popped symbol), while coded_by_byte keeps every
+    # production, since a backtrack enumerates productions.
+    g = GnfGrammar(
+        nonterminals=("S", "A", "B"),
+        alphabet=frozenset(b"ab"),
+        productions=(
+            ("S", ord("a"), ("A", "B")),
+            ("S", ord("a"), ("B",)),
+            ("S", ord("a"), ("A", "B")),
+            ("A", ord("a"), ("A", "B")),
+            ("A", ord("b"), ()),
+            ("B", ord("b"), ()),
+        ),
+        start="S",
+    )
+    assert g.delta(ord("a"), "S") == (("A", "B"), ("B",))
+    assert g.delta(ord("a"), "A") == (("A", "B"),)
+    assert g.delta(ord("b"), "S") == ()
+    code = g.code
+    s, a, b = code["S"], code["A"], code["B"]
+    assert g.coded_by_byte[ord("a")] == ((s, a + b), (s, b), (s, a + b), (a, a + b))
+    assert g.coded_by_byte[ord("b")] == ((a, ""), (b, ""))
+    rebuilt: dict = {}
+    for head, term, tail in g.productions:
+        slot = rebuilt.setdefault((term, head), [])
+        if tail not in slot:
+            slot.append(tail)
+    assert transition_function(g) == {k: tuple(v) for k, v in rebuilt.items()}
+    assert list(transition_function(g)) == list(rebuilt)
 
 
 def test_tail_lengths_bounded_by_max():
@@ -159,8 +204,6 @@ def test_pda_agrees_with_gnf_membership(name):
 
 
 def test_pda_prefix_viability_matches_oracle():
-    from cfgzip.oracle import oracle_prefix
-
     g = suite_grammar("dyck1")
     gnf = to_gnf(g)
     for n in range(0, 9):
